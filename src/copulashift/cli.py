@@ -208,33 +208,25 @@ def cmd_shift_report(args) -> int:
     return EXIT_OK
 
 
+# table -> (runner in ``experiments``, default seed count). The runner is
+# looked up by name on each call so the module attribute stays patchable.
 _TABLES = {
-    "table3": ("moons accuracy by stretch", ex.DEFAULT_MOONS_SEEDS),
-    "table6": ("wine transfer by method", ex.DEFAULT_WINE_SEEDS),
-    "table7": ("wine regularizer-weight ablation", ex.DEFAULT_WINE_SEEDS),
-    "table8": ("wine divergence comparison", ex.DEFAULT_COMPARISON_SEEDS),
+    "table3": ("run_moons_benchmark", ex.DEFAULT_MOONS_SEEDS),
+    "table6": ("run_wine_benchmark", ex.DEFAULT_WINE_SEEDS),
+    "table7": ("run_wine_ablation", ex.DEFAULT_WINE_SEEDS),
+    "table8": ("run_wine_divergence_comparison", ex.DEFAULT_COMPARISON_SEEDS),
 }
 
 
 def cmd_reproduce(args) -> int:
-    progress = None if args.quiet else _say
-    n_seeds = args.seeds if args.seeds is not None else _TABLES[args.table][1]
+    runner, default_seeds = _TABLES[args.table]
+    kwargs = {"n_seeds": args.seeds if args.seeds is not None else default_seeds,
+              "progress": None if args.quiet else _say}
+    if args.table != "table3":  # the wine tables read the CSVs
+        kwargs["data_dir"] = args.data_dir
     out_base = args.out if args.out else args.table
     try:
-        if args.table == "table3":
-            table = ex.run_moons_benchmark(n_seeds=n_seeds, progress=progress)
-        elif args.table == "table6":
-            table = ex.run_wine_benchmark(n_seeds=n_seeds,
-                                          data_dir=args.data_dir,
-                                          progress=progress)
-        elif args.table == "table7":
-            table = ex.run_wine_ablation(n_seeds=n_seeds,
-                                         data_dir=args.data_dir,
-                                         progress=progress)
-        else:
-            table = ex.run_wine_divergence_comparison(n_seeds=n_seeds,
-                                                      data_dir=args.data_dir,
-                                                      progress=progress)
+        table = getattr(ex, runner)(**kwargs)
     except ex.ExperimentError as err:
         base = Path(str(out_base) + ".partial")
         md_path, json_path = ex.write_table(err.partial, base)

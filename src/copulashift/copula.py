@@ -25,36 +25,20 @@ from .errors import ContractViolation, DomainError, ShapeError
 EPS_CLIP = 1e-6
 
 _CLOSED_FORM_TAGS = ("kl", "chi2", "w2", "mmd")
-_MC_ONLY_TAGS = ("hellinger_mc", "alpha_mc")
 
 
 @dataclass(frozen=True)
 class DependenceKind:
-    """Divergence used for pairwise dependence comparison.
+    """Closed-form divergence used for pairwise dependence comparison.
 
-    Closed-form tags: ``kl``, ``chi2``, ``w2``, ``mmd`` (unit-bandwidth
-    Gaussian kernel). ``hellinger_mc`` and ``alpha_mc`` exist only for the
-    Monte-Carlo route. ``alpha`` is required for ``alpha_mc`` and must not
-    be +-1; ``mc_samples`` applies to the MC integrator.
+    Tags: ``kl``, ``chi2``, ``w2``, ``mmd`` (unit-bandwidth Gaussian kernel).
     """
 
     tag: str
-    alpha: float | None = None
-    mc_samples: int = 1_000_000
 
     def __post_init__(self):
-        if self.tag not in _CLOSED_FORM_TAGS + _MC_ONLY_TAGS:
+        if self.tag not in _CLOSED_FORM_TAGS:
             raise ContractViolation(f"DependenceKind: unknown tag {self.tag!r}")
-        if self.tag == "alpha_mc":
-            if self.alpha is None:
-                raise ContractViolation("DependenceKind: alpha_mc requires alpha")
-            if self.alpha in (-1.0, 1.0):
-                raise ContractViolation("DependenceKind: alpha must not be +-1")
-        elif self.alpha is not None:
-            raise ContractViolation("DependenceKind: alpha only applies to alpha_mc")
-        if int(self.mc_samples) < 10_000:
-            raise ContractViolation("DependenceKind: mc_samples must be >= 10^4")
-        object.__setattr__(self, "mc_samples", int(self.mc_samples))
 
     @classmethod
     def kl(cls):
@@ -71,14 +55,6 @@ class DependenceKind:
     @classmethod
     def mmd_unit(cls):
         return cls("mmd")
-
-    @classmethod
-    def hellinger_mc(cls, mc_samples: int = 1_000_000):
-        return cls("hellinger_mc", mc_samples=mc_samples)
-
-    @classmethod
-    def alpha_mc(cls, alpha: float, mc_samples: int = 1_000_000):
-        return cls("alpha_mc", alpha=float(alpha), mc_samples=mc_samples)
 
 
 def _pairs(m: int) -> list[tuple[int, int]]:
@@ -171,8 +147,11 @@ def kendall_tau_smooth(pairs, a: float) -> float:
     Rows are consumed in order; shuffle beforehand for a randomized pairing.
     """
     arr = _as_pairs(pairs)
-    node = kendall_tau_smooth_graph(ad.constant(arr[:, :1]), ad.constant(arr[:, 1:]), a)
-    return node.item()
+    n = arr.shape[0]
+    if n < 2 or n % 2 != 0:
+        raise ContractViolation(
+            f"kendall_tau_smooth: N must be even and >= 2, got {n} (caller drops one row)")
+    return _smooth_taus(ad.constant(arr), _check_sharpness(a)).item()
 
 
 def _check_sharpness(a: float) -> float:
@@ -181,20 +160,17 @@ def _check_sharpness(a: float) -> float:
     return float(a)
 
 
-def kendall_tau_smooth_graph(x1: ad.Node, x2: ad.Node, a: float) -> ad.Node:
-    """Graph form of kendall_tau_smooth for two (N, 1) column nodes."""
-    a = _check_sharpness(a)
-    if x1.shape != x2.shape or x1.shape[1] != 1:
-        raise ShapeError("kendall_tau_smooth", x1.shape, x2.shape)
-    n = x1.shape[0]
-    if n < 2 or n % 2 != 0:
-        raise ContractViolation(
-            f"kendall_tau_smooth: N must be even and >= 2, got {n} (caller drops one row)")
-    first = list(range(0, n, 2))
-    second = list(range(1, n, 2))
-    d1 = ad.take_rows(x1, first) - ad.take_rows(x1, second)
-    d2 = ad.take_rows(x2, first) - ad.take_rows(x2, second)
-    return ad.mean(ad.tanh(d1 * d2 * a))
+def _smooth_taus(f: ad.Node, a: float) -> ad.Node:
+    """(1, P) tanh-smoothed taus of every column pair (i < j) of an (N, m) node.
+
+    Rows (0, 1), (2, 3), ... form the disjoint pairs, so N must be even.
+    """
+    n = f.shape[0]
+    pair_list = _pairs(f.shape[1])
+    diff = ad.take_rows(f, list(range(0, n, 2))) - ad.take_rows(f, list(range(1, n, 2)))
+    prod = (ad.take_cols(diff, [i for i, _ in pair_list])
+            * ad.take_cols(diff, [j for _, j in pair_list]))
+    return ad.mean_rows(ad.tanh(prod * a))
 
 
 def copula_param_from_tau(tau):
@@ -217,18 +193,21 @@ def estimate_copula(samples, a: float | None = None) -> CopulaEstimate:
     sign statistic. Odd N drops the final row on the smooth path.
     """
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise ContractViolation(f"estimate_copula: need an N x m sample with m >= 2, got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
+        raise ContractViolation(
+            f"estimate_copula: need an N x m sample with N, m >= 2, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("estimate_copula: sample contains non-finite values")
     m = arr.shape[1]
+    pair_list = _pairs(m)
+    if a is None:
+        taus = [kendall_tau_exact(arr[:, [i, j]]) for i, j in pair_list]
+    else:
+        n2 = arr.shape[0] - (arr.shape[0] % 2)
+        taus = _smooth_taus(ad.constant(arr[:n2]), _check_sharpness(a)).value.ravel()
     sigma = np.eye(m)
     dets = {}
-    for i, j in _pairs(m):
-        cols = arr[:, [i, j]]
-        if a is None:
-            tau = kendall_tau_exact(cols)
-        else:
-            n2 = cols.shape[0] - (cols.shape[0] % 2)
-            tau = kendall_tau_smooth(cols[:n2], a)
+    for (i, j), tau in zip(pair_list, taus):
         rho = float(copula_param_from_tau(tau))
         sigma[i, j] = rho
         sigma[j, i] = rho
@@ -243,6 +222,7 @@ def _divergence_from_det(det, tag: str):
 
     Works on floats, arrays, and graph nodes via the dispatching helpers.
     W2 and MMD forms are squared distances; their square root is returned.
+    ``tag`` is one of the closed-form tags DependenceKind admits.
     """
     if tag == "kl":
         return ad.log(det) * -0.5
@@ -251,12 +231,10 @@ def _divergence_from_det(det, tag: str):
     if tag == "w2":
         sq = 4.0 - 2.0 * ad.sqrt(2.0 + 2.0 * ad.sqrt(det))
         return ad.sqrt(ad.clamp(sq, lo=0.0))
-    if tag == "mmd":
-        sq = (1.0 / ad.sqrt(9.0 + 16.0 * det) + 0.2
-              - 2.0 / ad.sqrt(21.0 + 4.0 * det))
-        return ad.sqrt(ad.clamp(sq, lo=0.0))
-    raise ContractViolation(
-        f"pair_dependence_divergence: no closed form for kind {tag!r}")
+    # tag == "mmd"
+    sq = (1.0 / ad.sqrt(9.0 + 16.0 * det) + 0.2
+          - 2.0 / ad.sqrt(21.0 + 4.0 * det))
+    return ad.sqrt(ad.clamp(sq, lo=0.0))
 
 
 def pair_dependence_divergence(rho: float, kind: DependenceKind) -> float:
@@ -328,35 +306,30 @@ def gaussian_copula_density(u1, u2, rho: float):
     return np.exp(-quad) / np.sqrt(det)
 
 
-def _phi(tag: str, alpha: float | None):
+def _phi(tag: str):
     if tag == "kl":
         return lambda c: c * np.log(c)
     if tag == "chi2":
         return lambda c: c * c - 1.0
-    if tag == "hellinger_mc":
-        return lambda c: (np.sqrt(c) - 1.0) ** 2
-    if tag == "alpha_mc":
-        ex = -(alpha + 1.0) / 2.0
-        return lambda c: c * (1.0 - np.power(c, ex)) / (1.0 - alpha * alpha)
     raise ContractViolation(
         f"pair_dependence_divergence_mc: kind {tag!r} is not a phi-divergence")
 
 
-def pair_dependence_divergence_mc(rho: float, kind: DependenceKind,
-                                  seed: int) -> tuple[float, float]:
+def pair_dependence_divergence_mc(rho: float, kind: DependenceKind, seed: int,
+                                  mc_samples: int = 1_000_000) -> tuple[float, float]:
     """Monte-Carlo estimate of the dependence divergence, with standard error.
 
     Integrates phi(c(u1, u2)) over the unit square by uniform sampling;
     the independent oracle for the closed forms.
     """
-    if abs(rho) > 1.0 - EPS_CLIP:
-        raise ContractViolation(f"pair_dependence_divergence_mc: |rho| too large: {rho}")
-    phi = _phi(kind.tag, kind.alpha)
+    if int(mc_samples) < 10_000:
+        raise ContractViolation("pair_dependence_divergence_mc: mc_samples must be >= 10^4")
+    phi = _phi(kind.tag)
     rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(kind.mc_samples, 2))
+    u = rng.uniform(size=(mc_samples, 2))
     vals = phi(gaussian_copula_density(u[:, 0], u[:, 1], rho))
     mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(kind.mc_samples))
+    se = float(np.std(vals, ddof=1) / np.sqrt(mc_samples))
     return mean, se
 
 
@@ -388,22 +361,9 @@ def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: PairWeights,
     if beta.m != m:
         raise ContractViolation(
             f"copula_distance: weights are for m={beta.m}, features have m={m}")
-    if kind.tag not in _CLOSED_FORM_TAGS:
-        raise ContractViolation(
-            f"copula_distance: kind {kind.tag!r} has no differentiable closed form")
-    pair_list = _pairs(m)
-    left = [i for i, _ in pair_list]
-    right = [j for _, j in pair_list]
 
     def pair_divergences(f):
-        f = _even_prefix(f)
-        n = f.shape[0]
-        firsts = list(range(0, n, 2))
-        seconds = list(range(1, n, 2))
-        diff = ad.take_rows(f, firsts) - ad.take_rows(f, seconds)
-        prod = ad.take_cols(diff, left) * ad.take_cols(diff, right)
-        taus = ad.mean_rows(ad.tanh(prod * a))
-        rhos = copula_param_from_tau(taus)
+        rhos = copula_param_from_tau(_smooth_taus(_even_prefix(f), a))
         det = 1.0 - rhos * rhos
         return _divergence_from_det(det, kind.tag)
 

@@ -119,21 +119,33 @@ def median_heuristic_bandwidths(x, y) -> tuple[float, float]:
     return _bandwidths_from_blocks(d_xx * d_xx, d_yy * d_yy, d_xy * d_xy)
 
 
-def mmd_squared_graph(xs: ad.Node, ys: ad.Node, bandwidths=None) -> ad.Node:
-    """Squared-MMD V-statistic between two (n, 1) column nodes.
+def _feature_column(f: ad.Node, c: int) -> ad.Node:
+    return f if f.shape[1] == 1 else ad.take_cols(f, [c])  # one column: no gather node
 
-    Sum over ``bandwidths`` of
-    ``sum k(x,x')/n^2 + sum k(y,y')/m^2 - 2 sum k(x,y)/(n m)``,
+
+def _squared_distances(a: ad.Node, b: ad.Node) -> ad.Node:
+    """(n, n') squared Euclidean distances, summed one feature column at a time."""
+    acc = None
+    for c in range(a.shape[1]):
+        d = ad.pairwise_diff(_feature_column(a, c), _feature_column(b, c))
+        acc = d * d if acc is None else acc + d * d
+    return acc
+
+
+def mmd_squared_graph(xs: ad.Node, ys: ad.Node, bandwidths=None) -> ad.Node:
+    """Squared-MMD V-statistic between (n, m) and (n', m) sample nodes.
+
+    Gaussian kernel exp(-||x - y||^2 / b) on the rows, summed over ``bandwidths``
+    of ``sum k(x,x')/n^2 + sum k(y,y')/n'^2 - 2 sum k(x,y)/(n n')``,
     clamped at zero against floating-point undershoot. ``bandwidths=None``
     applies the median heuristic to the current values.
     """
-    if xs.shape[1] != 1 or ys.shape[1] != 1:
+    if xs.shape[1] != ys.shape[1]:
         raise ShapeError("mmd_squared", xs.shape, ys.shape)
     n, m = xs.shape[0], ys.shape[0]
-    d_xx = ad.pairwise_diff(xs, xs)
-    d_yy = ad.pairwise_diff(ys, ys)
-    d_xy = ad.pairwise_diff(xs, ys)
-    sq_xx, sq_yy, sq_xy = d_xx * d_xx, d_yy * d_yy, d_xy * d_xy
+    sq_xx = _squared_distances(xs, xs)
+    sq_yy = _squared_distances(ys, ys)
+    sq_xy = _squared_distances(xs, ys)
     if bandwidths is None:
         bandwidths = _bandwidths_from_blocks(sq_xx.value, sq_yy.value, sq_xy.value)
     bw = tuple(float(b) for b in bandwidths)
@@ -153,10 +165,7 @@ def mmd_squared(x, y, bandwidths=None) -> float:
     """Plain squared-MMD between two 1-D samples (see mmd_squared_graph)."""
     xa = _column(x, "mmd_squared")
     ya = _column(y, "mmd_squared")
-    if bandwidths is None:
-        bandwidths = median_heuristic_bandwidths(xa, ya)
-    node = mmd_squared_graph(ad.constant(xa), ad.constant(ya), bandwidths)
-    return node.item()
+    return mmd_squared_graph(ad.constant(xa), ad.constant(ya), bandwidths).item()
 
 
 def wasserstein1_1d(x, y) -> float:

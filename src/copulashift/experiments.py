@@ -336,32 +336,39 @@ def wine_transfer_pairs(data_dir=None) -> dict:
     return out
 
 
-def _wine_direction_report(pairs, key, cfg, seeds, progress=None):
-    nsrc, ntgt, stats = pairs[key]
-    rep = run_experiment(f"wine {key}", nsrc, ntgt, cfg, seeds,
-                         stats=stats, eval_target=ntgt)
-    if progress is not None:
-        agg = rep.aggregate
-        progress(f"wine {key} {cfg.method} alpha={cfg.alpha:g} "
-                 f"beta={cfg.beta:g} h1={cfg.h1.kind} h2={cfg.h2.tag} "
-                 f"rmse={agg['rmse']['mean']:.3f} r2={agg['r2']['mean']:.3f}")
-    return rep
+def _run_wine_table(name, rows, metrics, meta, n_seeds, data_dir,
+                    progress) -> ExperimentTable:
+    """Train every (label, config) row in both transfer directions.
 
-
-def _metric_columns(metrics=("rmse", "r2", "re")) -> list:
-    cols = []
-    for _, disp, _, _ in DIRECTIONS:
-        cols.extend(f"{disp} {m.upper() if m != 're' else 'RE'}" for m in metrics)
-    return cols
-
-
-def _metric_cells(reports_by_direction, metrics=("rmse", "r2", "re")) -> dict:
-    cells = {}
-    for key, disp, _, _ in DIRECTIONS:
-        agg = reports_by_direction[key].aggregate
-        for m in metrics:
-            cells[f"{disp} {m.upper() if m != 're' else 'RE'}"] = dict(agg[m])
-    return cells
+    A row that raises is recorded in the failures and the remaining rows
+    still run; ``_finish`` then raises ExperimentError with the partial.
+    """
+    pairs = wine_transfer_pairs(data_dir)
+    seeds = range(n_seeds)
+    columns = [f"{disp} {m.upper()}" for _, disp, _, _ in DIRECTIONS for m in metrics]
+    table_rows, reports, failures = [], {}, []
+    for label, cfg in rows:
+        try:
+            by_dir = {}
+            for key, _, _, _ in DIRECTIONS:
+                nsrc, ntgt, stats = pairs[key]
+                rep = run_experiment(f"wine {key}", nsrc, ntgt, cfg, seeds,
+                                     stats=stats, eval_target=ntgt)
+                by_dir[key] = rep
+                if progress is not None:
+                    agg = rep.aggregate
+                    progress(f"wine {key} {cfg.method} alpha={cfg.alpha:g} "
+                             f"beta={cfg.beta:g} h1={cfg.h1.kind} h2={cfg.h2.tag} "
+                             f"rmse={agg['rmse']['mean']:.3f} r2={agg['r2']['mean']:.3f}")
+        except Exception as exc:  # record-and-continue: one bad row keeps its siblings
+            failures.append({"row": label, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        values = [dict(by_dir[key].aggregate[m]) for key, _, _, _ in DIRECTIONS
+                  for m in metrics]
+        table_rows.append({"label": label, "cells": dict(zip(columns, values))})
+        reports[label] = {key: rep.to_dict() for key, rep in by_dir.items()}
+    meta = dict(meta, seeds=list(seeds), digits=3)
+    return _finish(name, columns, table_rows, meta, reports, failures)
 
 
 def run_wine_benchmark(methods=("mlp", "dan", "coral", "cdan"),
@@ -372,23 +379,10 @@ def run_wine_benchmark(methods=("mlp", "dan", "coral", "cdan"),
     RMSE and R2 are computed on the normalized label scale, RE on the
     original quality scale.
     """
-    pairs = wine_transfer_pairs(data_dir)
-    seeds = range(n_seeds)
-    rows, reports, failures = [], {}, []
-    for method in methods:
-        label = METHOD_LABELS.get(method, method)
-        try:
-            cfg = wine_config(method)
-            by_dir = {key: _wine_direction_report(pairs, key, cfg, seeds, progress)
-                      for key, _, _, _ in DIRECTIONS}
-        except Exception as exc:
-            failures.append({"row": label, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        rows.append({"label": label, "cells": _metric_cells(by_dir)})
-        reports[label] = {key: rep.to_dict() for key, rep in by_dir.items()}
-    meta = {"seeds": list(seeds), "digits": 3,
-            "metric_scale": "rmse/r2 on normalized labels, re on raw quality"}
-    return _finish("method", _metric_columns(), rows, meta, reports, failures)
+    rows = [(METHOD_LABELS.get(m, m), wine_config(m)) for m in methods]
+    meta = {"metric_scale": "rmse/r2 on normalized labels, re on raw quality"}
+    return _run_wine_table("method", rows, ("rmse", "r2", "re"), meta,
+                           n_seeds, data_dir, progress)
 
 
 def run_wine_ablation(grid=ABLATION_GRID, n_seeds: int = DEFAULT_WINE_SEEDS,
@@ -398,24 +392,11 @@ def run_wine_ablation(grid=ABLATION_GRID, n_seeds: int = DEFAULT_WINE_SEEDS,
     alpha scales the per-dimension marginal term, beta the dependence
     term; (0, 0) degenerates to the unregularized network.
     """
-    pairs = wine_transfer_pairs(data_dir)
-    seeds = range(n_seeds)
-    rows, reports, failures = [], {}, []
-    for alpha, beta in grid:
-        label = f"alpha={alpha:g}, beta={beta:g}"
-        try:
-            cfg = wine_config("cdan", alpha=alpha, beta=beta)
-            by_dir = {key: _wine_direction_report(pairs, key, cfg, seeds, progress)
-                      for key, _, _, _ in DIRECTIONS}
-        except Exception as exc:
-            failures.append({"row": label, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        rows.append({"label": label,
-                     "cells": _metric_cells(by_dir, ("rmse", "r2"))})
-        reports[label] = {key: rep.to_dict() for key, rep in by_dir.items()}
-    meta = {"seeds": list(seeds), "digits": 3, "grid": [list(g) for g in grid]}
-    return _finish("weights", _metric_columns(("rmse", "r2")),
-                   rows, meta, reports, failures)
+    rows = [(f"alpha={alpha:g}, beta={beta:g}",
+             wine_config("cdan", alpha=alpha, beta=beta)) for alpha, beta in grid]
+    return _run_wine_table("weights", rows, ("rmse", "r2"),
+                           {"grid": [list(g) for g in grid]},
+                           n_seeds, data_dir, progress)
 
 
 def run_wine_divergence_comparison(grid=COMPARISON_GRID,
@@ -426,26 +407,12 @@ def run_wine_divergence_comparison(grid=COMPARISON_GRID,
     Exploratory, trend-level numbers: the MMD marginal rows dominate the
     runtime, hence the smaller default seed count.
     """
-    pairs = wine_transfer_pairs(data_dir)
-    seeds = range(n_seeds)
-    rows, reports, failures = [], {}, []
-    for h1, h2 in grid:
-        label = f"H1={h1}, H2={h2}"
-        try:
-            cfg = TrainConfig.from_dict({"h1": h1, "h2": h2},
-                                        base=wine_config("cdan"))
-            by_dir = {key: _wine_direction_report(pairs, key, cfg, seeds, progress)
-                      for key, _, _, _ in DIRECTIONS}
-        except Exception as exc:
-            failures.append({"row": label, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        rows.append({"label": label,
-                     "cells": _metric_cells(by_dir, ("rmse", "r2"))})
-        reports[label] = {key: rep.to_dict() for key, rep in by_dir.items()}
-    meta = {"seeds": list(seeds), "digits": 3,
-            "grid": [list(g) for g in grid]}
-    return _finish("divergences", _metric_columns(("rmse", "r2")),
-                   rows, meta, reports, failures)
+    rows = [(f"H1={h1}, H2={h2}",
+             TrainConfig.from_dict({"h1": h1, "h2": h2}, base=wine_config("cdan")))
+            for h1, h2 in grid]
+    return _run_wine_table("divergences", rows, ("rmse", "r2"),
+                           {"grid": [list(g) for g in grid]},
+                           n_seeds, data_dir, progress)
 
 
 def write_table(table: ExperimentTable, out_path) -> tuple[Path, Path]:

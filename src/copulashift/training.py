@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field, replace, asdict
 
 import numpy as np
@@ -61,8 +62,8 @@ def _h2_from(value) -> cop.DependenceKind:
         if value not in _H2_TAGS:
             raise ContractViolation(f"h2 must be one of {sorted(_H2_TAGS)}, got {value!r}")
         return _H2_TAGS[value]()
-    return cop.DependenceKind(tag=value["tag"], alpha=value.get("alpha"),
-                              mc_samples=value.get("mc_samples", 1_000_000))
+    # older dicts also carry "alpha" (always null) and "mc_samples": ignored
+    return cop.DependenceKind(tag=value["tag"])
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,28 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ContractViolation(f"TrainConfig: method must be one of {_METHODS}")
+        for name in ("max_epochs", "early_stop_patience", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ContractViolation(
+                    f"TrainConfig: {name} must be an integer, got {value!r}")
+        for name in ("alpha", "beta", "lambda_", "learning_rate", "tanh_a",
+                     "holdout_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ContractViolation(
+                    f"TrainConfig: {name} must be a finite number, got {value!r}")
         for name in ("alpha", "beta", "lambda_"):
             if getattr(self, name) < 0:
                 raise ContractViolation(f"TrainConfig: {name} must be >= 0")
         if self.learning_rate <= 0:
             raise ContractViolation("TrainConfig: learning_rate must be positive")
-        if int(self.max_epochs) < 1:
+        if self.max_epochs < 1:
             raise ContractViolation("TrainConfig: max_epochs must be >= 1")
-        if int(self.early_stop_patience) < 0:
+        if self.batch_size < 2 or self.batch_size % 2 != 0:
+            raise ContractViolation(
+                f"TrainConfig: batch_size must be even and >= 2, got {self.batch_size}")
+        if self.early_stop_patience < 0:
             raise ContractViolation("TrainConfig: early_stop_patience must be >= 0")
         if self.tanh_a <= 0:
             raise ContractViolation("TrainConfig: tanh_a must be positive")
@@ -117,8 +132,7 @@ class TrainConfig:
         d["h1"] = {"kind": self.h1.kind,
                    "bandwidths": None if bw is None else list(bw),
                    "bins": self.h1.bins}
-        d["h2"] = {"tag": self.h2.tag, "alpha": self.h2.alpha,
-                   "mc_samples": self.h2.mc_samples}
+        d["h2"] = {"tag": self.h2.tag}
         d["model"] = {"hidden": list(self.model.hidden), "task": self.model.task,
                       "n_classes": self.model.n_classes,
                       "activation": self.model.activation}
@@ -208,33 +222,6 @@ def _supervised_loss(features, labels, params_view) -> ad.Node:
     return mse_loss(features, labels, params_view)
 
 
-def _joint_mmd_graph(fs: ad.Node, ft: ad.Node, bandwidths=None) -> ad.Node:
-    """Squared-MMD V-statistic with a Gaussian kernel on the joint features."""
-    n, m_t = fs.shape[0], ft.shape[0]
-
-    def sqdist(a, b):
-        acc = None
-        for c in range(a.shape[1]):
-            d = ad.pairwise_diff(ad.take_cols(a, [c]), ad.take_cols(b, [c]))
-            acc = d * d if acc is None else acc + d * d
-        return acc
-
-    d_ss, d_tt, d_st = sqdist(fs, fs), sqdist(ft, ft), sqdist(fs, ft)
-    if bandwidths is None:
-        pooled = np.concatenate([d_ss.value[np.triu_indices(n, 1)],
-                                 d_tt.value[np.triu_indices(m_t, 1)],
-                                 d_st.value.ravel()])
-        base = float(np.median(pooled)) or float(np.mean(pooled)) or 1.0
-        bandwidths = (base, 2.0 * base)
-    acc = None
-    for b in bandwidths:
-        term = (ad.total(ad.exp(d_ss * (-1.0 / b))) * (1.0 / (n * n))
-                + ad.total(ad.exp(d_tt * (-1.0 / b))) * (1.0 / (m_t * m_t))
-                + ad.total(ad.exp(d_st * (-1.0 / b))) * (-2.0 / (n * m_t)))
-        acc = term if acc is None else acc + term
-    return ad.clamp(acc, lo=0.0)
-
-
 def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node:
     """Sum over feature dimensions of H1 between source and target columns.
 
@@ -269,7 +256,7 @@ def _batch_loss(params, xs, ys, xt, config: TrainConfig):
     md = cd = None
     if config.method == "dan" and config.lambda_ > 0:
         f_t = extract_features(ad.constant(xt), view)
-        md = ad.sqrt(_joint_mmd_graph(f_s, f_t, config.h1.bandwidths)) * config.lambda_
+        md = ad.sqrt(dv.mmd_squared_graph(f_s, f_t, config.h1.bandwidths)) * config.lambda_
     elif config.method == "coral" and config.lambda_ > 0:
         f_t = extract_features(ad.constant(xt), view)
         md = dv.coral_penalty_graph(f_s, f_t) * config.lambda_
@@ -318,6 +305,8 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
     """
     if source.labels is None:
         raise ContractViolation("train: source dataset must be labeled")
+    if len(target) == 0:
+        raise ContractViolation("train: target dataset is empty")
     if source.dim != target.dim:
         raise ContractViolation(
             f"train: source d={source.dim} vs target d={target.dim}")
@@ -493,7 +482,7 @@ def learned_shift(params: ModelParams, source: Dataset, target: Dataset,
     md = sum(dv.marginal_divergence(fs[:, i], ft[:, i], config.h1)
              for i in range(fs.shape[1]))
     cd = 0.0
-    if fs.shape[1] >= 2 and config.h2.tag in ("kl", "chi2", "w2", "mmd"):
+    if fs.shape[1] >= 2:
         cd = cop.copula_distance(fs, ft,
                                  cop.PairWeights.uniform(fs.shape[1], 1.0),
                                  config.h2, config.tanh_a)
@@ -508,6 +497,9 @@ def run_experiment(task: str, source: Dataset, target: Dataset,
     ``eval_target`` supplies the labeled target set for scoring (defaults
     to ``target``); regression scoring requires the normalization stats.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ContractViolation("run_experiment: seeds must be nonempty")
     eval_ds = eval_target if eval_target is not None else target
     per_seed = []
     first_trace = None
@@ -552,8 +544,9 @@ def grid_search(source: Dataset, target: Dataset, base: TrainConfig,
     validation loss each run achieved. Failures abort the sweep with a
     GridSearchError carrying the completed portion.
     """
-    if not list(alphas) or not list(betas):
-        raise ContractViolation("grid_search: alpha/beta grids must be nonempty")
+    alphas, betas, seeds = list(alphas), list(betas), list(seeds)
+    if not alphas or not betas or not seeds:
+        raise ContractViolation("grid_search: alpha/beta grids and seeds must be nonempty")
     reports, failures = [], []
     for a in alphas:
         for b in betas:

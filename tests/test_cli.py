@@ -135,6 +135,12 @@ class TestTrainEval:
                        "--alpha", -1, "--out", tmp_path / "m")
         assert code == cli.EXIT_USAGE
         assert "alpha" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_epochs": 2.5}))
+        code = run_cli("train", "--source", src, "--target", tgt,
+                       "--config", cfg, "--out", tmp_path / "m")
+        assert code == cli.EXIT_USAGE
+        assert "max_epochs" in capsys.readouterr().err
 
     def test_unlabeled_source_exits_usage(self, tmp_path, capsys):
         bare = tmp_path / "bare.csv"
@@ -255,6 +261,24 @@ class TestReproduce:
         assert (tmp_path / "t3.partial.md").exists()
         partial = json.loads((tmp_path / "t3.partial.json").read_text())
         assert [r["label"] for r in partial["rows"]] == ["CDAN"]
+
+    @pytest.mark.parametrize("table, runner, seeds", [
+        ("table6", "run_wine_benchmark", ex.DEFAULT_WINE_SEEDS),
+        ("table7", "run_wine_ablation", ex.DEFAULT_WINE_SEEDS),
+        ("table8", "run_wine_divergence_comparison", ex.DEFAULT_COMPARISON_SEEDS)])
+    def test_wine_tables_dispatch_with_data_dir(self, tmp_path, monkeypatch,
+                                                table, runner, seeds):
+        seen = {}
+
+        def fake(n_seeds, data_dir, progress=None):
+            seen.update(n_seeds=n_seeds, data_dir=data_dir)
+            return canned_table()
+
+        monkeypatch.setattr(ex, runner, fake)
+        code = run_cli("reproduce", table, "--quiet", "--data-dir", tmp_path,
+                       "--out", tmp_path / table)
+        assert code == cli.EXIT_OK
+        assert seen == {"n_seeds": seeds, "data_dir": str(tmp_path)}
 
     def test_wine_table_without_data_exits_usage(self, tmp_path, capsys):
         code = run_cli("reproduce", "table6", "--quiet",

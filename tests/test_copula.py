@@ -7,10 +7,10 @@ from copulashift.copula import (CopulaEstimate, DependenceKind, PairWeights,
                                 copula_distance_graph, copula_param_from_tau,
                                 estimate_copula, gaussian_copula_density,
                                 inverse_normal_cdf, kendall_tau_exact,
-                                kendall_tau_smooth, kendall_tau_smooth_graph,
+                                kendall_tau_smooth, _smooth_taus,
                                 pair_dependence_divergence,
                                 pair_dependence_divergence_mc)
-from copulashift.errors import ContractViolation
+from copulashift.errors import ContractViolation, DomainError
 
 
 def correlated_sample(rho: float, n: int, seed: int) -> np.ndarray:
@@ -62,11 +62,10 @@ class TestKendallTau:
 
     def test_smooth_graph_backpropagates(self):
         rng = np.random.default_rng(11)
-        x1 = ad.leaf(rng.normal(size=(10, 1)))
-        x2 = ad.leaf(rng.normal(size=(10, 1)))
-        node = kendall_tau_smooth_graph(x1, x2, a=5.0)
+        x = ad.leaf(np.hstack([rng.normal(size=(10, 1)), rng.normal(size=(10, 1))]))
+        node = _smooth_taus(x, a=5.0)
         ad.backward(node)
-        assert np.any(x1.grad != 0.0)
+        assert np.any(x.grad[:, 0] != 0.0)
 
 
 class TestCopulaParam:
@@ -114,6 +113,25 @@ class TestEstimateCopula:
     def test_rejects_univariate_input(self):
         with pytest.raises(ContractViolation):
             estimate_copula(np.zeros((10, 1)))
+
+    def test_smooth_route_matches_per_pair_tau(self):
+        # one pass over all pairs == kendall_tau_smooth on each column pair
+        sample = np.random.default_rng(4).normal(size=(301, 5))
+        sample[:, 3] += 0.6 * sample[:, 0]
+        est = estimate_copula(sample, a=50.0)
+        for i in range(5):
+            for j in range(i + 1, 5):
+                tau = kendall_tau_smooth(sample[:300, [i, j]], a=50.0)
+                np.testing.assert_allclose(est.sigma[i, j],
+                                           float(copula_param_from_tau(tau)),
+                                           rtol=1e-12, atol=1e-15)
+
+    def test_rejects_nonfinite_input(self):
+        sample = np.ones((8, 3))
+        sample[2, 1] = np.nan
+        for a in (None, 10.0):
+            with pytest.raises(DomainError):
+                estimate_copula(sample, a=a)
 
 
 class TestInverseNormalCdf:
@@ -218,8 +236,8 @@ class TestPairDependenceDivergence:
         assert a > 0.0
 
     def test_mc_route_brackets_closed_form(self):
-        kind = DependenceKind(tag="kl", mc_samples=200_000)
-        est, se = pair_dependence_divergence_mc(0.4, kind, seed=17)
+        est, se = pair_dependence_divergence_mc(0.4, DependenceKind.kl(), seed=17,
+                                                mc_samples=200_000)
         closed = pair_dependence_divergence(0.4, DependenceKind.kl())
         assert abs(est - closed) < 4.0 * se
 
@@ -234,11 +252,11 @@ class TestDependenceKindValidation:
             DependenceKind(tag="js")
 
     def test_alpha_rules(self):
-        with pytest.raises(ContractViolation):
-            DependenceKind(tag="alpha_mc")  # alpha required
-        with pytest.raises(ContractViolation):
-            DependenceKind(tag="alpha_mc", alpha=1.0)
-        with pytest.raises(ContractViolation):
+        # the Monte-Carlo-only tags and their alpha parameter are gone
+        for tag in ("alpha_mc", "hellinger_mc"):
+            with pytest.raises(ContractViolation):
+                DependenceKind(tag=tag)
+        with pytest.raises(TypeError):
             DependenceKind(tag="kl", alpha=0.5)
 
 

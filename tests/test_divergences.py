@@ -9,7 +9,7 @@ from copulashift.divergences import (DivergenceKind, coral_penalty,
                                      marginal_divergence,
                                      median_heuristic_bandwidths, mmd_squared,
                                      mmd_squared_graph, wasserstein1_1d)
-from copulashift.errors import ContractViolation, DomainError
+from copulashift.errors import ContractViolation, DomainError, ShapeError
 
 # Shared tiny samples for the frozen MMD oracle values below.
 MMD_X = np.array([0.0, 1.0, 2.0])
@@ -69,6 +69,32 @@ class TestMMDSquared:
                                    mmd_squared(x.ravel(), y.ravel(),
                                                bandwidths=(0.5, 1.0)),
                                    rtol=1e-12)
+
+    def test_joint_graph_matches_numpy_v_statistic(self):
+        # Oracle: Gaussian kernel on squared Euclidean row distances.
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(9, 3))
+        y = rng.normal(0.4, 1.3, size=(7, 3))
+
+        def v_stat(bws):
+            def k(a, b, bw):
+                return np.exp(-((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2) / bw)
+            return sum(k(x, x, bw).mean() + k(y, y, bw).mean() - 2.0 * k(x, y, bw).mean()
+                       for bw in bws)
+
+        node = mmd_squared_graph(ad.constant(x), ad.constant(y), bandwidths=(0.8, 2.5))
+        np.testing.assert_allclose(node.item(), v_stat((0.8, 2.5)), rtol=1e-12)
+        sq = ((np.vstack([x, y])[:, None, :] - np.vstack([x, y])[None, :, :]) ** 2).sum(axis=2)
+        base = np.median(sq[np.triu_indices(16, k=1)])
+        np.testing.assert_allclose(mmd_squared_graph(ad.constant(x), ad.constant(y)).item(),
+                                   v_stat((base, 2.0 * base)), rtol=1e-12)
+        err = ad.finite_difference_check(
+            lambda a, b: mmd_squared_graph(a, b, bandwidths=(0.8, 2.5)), [x, y])
+        assert err < 1e-5
+
+    def test_graph_rejects_mismatched_widths(self):
+        with pytest.raises(ShapeError):
+            mmd_squared_graph(ad.constant(np.zeros((4, 2))), ad.constant(np.zeros((4, 3))))
 
 
 class TestWasserstein1:

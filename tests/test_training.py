@@ -62,6 +62,16 @@ class TestTrainConfig:
             TrainConfig(holdout_fraction=1.0)
         with pytest.raises(ContractViolation, match="tanh_a"):
             TrainConfig(tanh_a=-5.0)
+        for name in ("alpha", "beta", "lambda_", "learning_rate", "tanh_a"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ContractViolation, match=name):
+                    TrainConfig(**{name: bad})
+        for name, bad in (("max_epochs", 2.5), ("early_stop_patience", 3.0),
+                          ("seed", "0"), ("batch_size", 63), ("batch_size", 0)):
+            with pytest.raises(ContractViolation, match=name):
+                TrainConfig(**{name: bad})
+        with pytest.raises(ContractViolation, match="max_epochs"):
+            TrainConfig.from_dict({"max_epochs": 2.5})
 
     def test_copula_method_needs_two_features(self):
         narrow = LayerSpec(hidden=(8, 1), task="classification", n_classes=2)
@@ -90,6 +100,16 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation, match="momentum"):
             TrainConfig.from_dict({"momentum": 0.9})
 
+    def test_from_dict_reads_old_h2_dicts_and_rejects_mc_tags(self):
+        old = {"tag": "chi2", "alpha": None, "mc_samples": 1_000_000}
+        cfg = TrainConfig.from_dict({"h2": old})
+        assert cfg.h2 == cop.DependenceKind.chi2()
+        assert cfg.to_dict()["h2"] == {"tag": "chi2"}
+        for tag in ("hellinger_mc", "alpha_mc"):
+            with pytest.raises(ContractViolation, match=tag):
+                TrainConfig.from_dict({"h2": {"tag": tag, "alpha": 0.5,
+                                              "mc_samples": 1_000_000}})
+
     def test_from_dict_rejects_bad_tags(self):
         with pytest.raises(ContractViolation):
             TrainConfig.from_dict({"h2": "js"})
@@ -117,6 +137,11 @@ class TestTrainValidation:
                          domain="source", feature_names=source.feature_names)
         with pytest.raises(ContractViolation, match="integer"):
             train(floaty, target.unlabeled(), quick_config())
+
+    def test_empty_target_rejected(self):
+        source, target = moons_domains(20)
+        with pytest.raises(ContractViolation, match="target dataset is empty"):
+            train(source, target.unlabeled().subset([]), quick_config())
 
     def test_too_few_rows_for_any_batch(self):
         source, target = moons_domains(20)
@@ -320,6 +345,11 @@ class TestRunExperiment:
         with pytest.raises(ContractViolation, match="stats"):
             run_experiment("reg", labeled, target, cfg, seeds=[0])
 
+    def test_empty_seed_list_rejected(self):
+        source, target = moons_domains(20)
+        with pytest.raises(ContractViolation, match="seeds"):
+            run_experiment("moons", source, target, quick_config(), seeds=[])
+
     def test_target_labels_never_needed_for_training(self):
         source, target = moons_domains(40)
         rep = run_experiment("moons", source, target.unlabeled(),
@@ -353,8 +383,8 @@ class TestGridSearch:
     def test_sorted_by_validation_loss(self):
         source, target = moons_domains(60)
         base = quick_config(seed=0, early_stop_patience=3, holdout_fraction=0.2)
-        reports = grid_search(source, target, base,
-                              alphas=[0.0, 0.02], betas=[0.0, 0.05], seeds=[0])
+        reports = grid_search(source, target, base,  # one-shot iterators work too
+                              alphas=iter([0.0, 0.02]), betas=[0.0, 0.05], seeds=[0])
         assert len(reports) == 4
         vals = [r.aggregate["val"]["mean"] for r in reports]
         assert vals == sorted(vals)
@@ -379,6 +409,9 @@ class TestGridSearch:
         with pytest.raises(ContractViolation, match="nonempty"):
             grid_search(source, target, quick_config(), alphas=[], betas=[1.0],
                         seeds=[0])
+        with pytest.raises(ContractViolation, match="seeds"):
+            grid_search(source, target, quick_config(), alphas=[0.0], betas=[1.0],
+                        seeds=[])
 
 
 class TestShiftReport:
