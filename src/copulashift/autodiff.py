@@ -364,42 +364,73 @@ def pairwise_diff(x, y) -> Node:
                            -g.sum(axis=0).reshape(-1, 1)))
 
 
-def take_rows(a, indices) -> Node:
-    """Gather rows by index; duplicate indices scatter-add in the backward pass."""
-    a = constant(a)
-    idx = np.asarray(indices, dtype=np.intp).ravel()
+def _gather_index(op: str, indices, bound: int, axis: str) -> np.ndarray:
+    idx = np.asarray(indices)
     if idx.size == 0:
-        raise ContractViolation("take_rows: empty index list")
-    if idx.min() < 0 or idx.max() >= a.shape[0]:
+        raise ContractViolation(f"{op}: empty index list")
+    if not np.issubdtype(idx.dtype, np.integer):
         raise ContractViolation(
-            f"take_rows: index out of range for {a.shape[0]} rows")
+            f"{op}: indices must have an integer dtype, got {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False).ravel()
+    if idx.min() < 0 or idx.max() >= bound:
+        raise ContractViolation(f"{op}: index out of range for {bound} {axis}")
+    return idx
+
+
+def _scatter_add(shape, rows, cols, g: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with ``g[k, l]`` added at ``(rows[k, l], cols[k, l])``.
+
+    ``rows`` and ``cols`` broadcast to ``g.shape``. ``bincount`` adds the
+    weights in order of occurrence starting from zero, as ``np.add.at``
+    does, so duplicate indices accumulate bit-identically to it. ``g`` is
+    walked in its own memory order, which saves a copy when it is
+    Fortran-ordered (as gathered columns are); in either order the
+    duplicates of one gathered row or column arrive in increasing index
+    order, so the sums do not change.
+    """
+    order = "F" if g.flags.f_contiguous and not g.flags.c_contiguous else "C"
+    flat = np.empty(g.shape, dtype=np.intp, order=order)
+    np.add(rows * shape[1], cols, out=flat)
+    return np.bincount(flat.ravel(order), weights=g.ravel(order),
+                       minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def take_rows(a, indices) -> Node:
+    """Gather rows by integer index; duplicates scatter-add in the backward pass."""
+    a = constant(a)
+    idx = _gather_index("take_rows", indices, a.shape[0], "rows")
     out = _seal(a.value[idx, :])
-
-    def back(g):
-        z = np.zeros_like(a.value)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return Node(out, "take_rows", (a,), back)
+    shape = a.shape
+    return Node(out, "take_rows", (a,),
+                lambda g: (_scatter_add(shape, idx[:, None], np.arange(shape[1]), g),))
 
 
 def take_cols(a, indices) -> Node:
-    """Gather columns by index; duplicates scatter-add in the backward pass."""
+    """Gather columns by integer index; duplicates scatter-add in the backward pass."""
     a = constant(a)
-    idx = np.asarray(indices, dtype=np.intp).ravel()
-    if idx.size == 0:
-        raise ContractViolation("take_cols: empty index list")
-    if idx.min() < 0 or idx.max() >= a.shape[1]:
-        raise ContractViolation(
-            f"take_cols: index out of range for {a.shape[1]} columns")
+    idx = _gather_index("take_cols", indices, a.shape[1], "columns")
     out = _seal(a.value[:, idx])
+    shape = a.shape
+    return Node(out, "take_cols", (a,),
+                lambda g: (_scatter_add(shape, np.arange(shape[0])[:, None], idx, g),))
+
+
+def sort_cols(a) -> Node:
+    """Sort every column ascending (stable); the backward un-permutes.
+
+    Each column's order is a permutation, so the backward is a plain write
+    of the output gradient back to the source rows: nothing is summed.
+    """
+    a = constant(a)
+    order = np.argsort(a.value, axis=0, kind="stable")
+    out = _seal(np.take_along_axis(a.value, order, axis=0))
 
     def back(g):
-        z = np.zeros_like(a.value)
-        np.add.at(z, (slice(None), idx), g)
+        z = np.empty_like(g)  # every entry is written: each column is a permutation
+        np.put_along_axis(z, order, g, axis=0)
         return (z,)
 
-    return Node(out, "take_cols", (a,), back)
+    return Node(out, "sort_cols", (a,), back)
 
 
 def softmax_rows(a) -> Node:

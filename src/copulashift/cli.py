@@ -66,11 +66,20 @@ def _resolve_config(args, model_hint: dict | None = None) -> TrainConfig:
     data = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            data.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ContractViolation(f"--config must hold a JSON object, got {data!r}")
     data.update(_flag_overrides(args))
-    model = dict(data.get("model") or {})
+    model = data.get("model") or {}
+    if not isinstance(model, dict):
+        raise ContractViolation(f"TrainConfig: model must be a dict, got {model!r}")
+    model = dict(model)
     if getattr(args, "hidden", None):
-        model["hidden"] = [int(t) for t in str(args.hidden).split(",") if t.strip()]
+        try:
+            model["hidden"] = [int(t) for t in str(args.hidden).split(",") if t.strip()]
+        except ValueError:
+            raise ContractViolation(
+                f"--hidden must be comma-separated integers, got {args.hidden!r}") from None
     if getattr(args, "task", None):
         model["task"] = args.task
     if model_hint:

@@ -15,6 +15,7 @@ unit square serves as the independent oracle for the closed forms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,22 @@ class DependenceKind:
         return cls("mmd")
 
 
-def _pairs(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
+# The pair tables are cached, and every caller shares the cached object, so
+# they are a tuple and read-only arrays. A run uses one or two widths; the
+# bound keeps a process that sees many wide inputs from holding them all.
+@functools.lru_cache(maxsize=8)
+def _pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """Feature pairs (i < j) of an m-dim representation in ascending order."""
+    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second columns of ``_pairs(m)`` as read-only intp arrays."""
+    first, second = np.triu_indices(m, k=1)  # row-major, the order of _pairs
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -166,10 +181,9 @@ def _smooth_taus(f: ad.Node, a: float) -> ad.Node:
     Rows (0, 1), (2, 3), ... form the disjoint pairs, so N must be even.
     """
     n = f.shape[0]
-    pair_list = _pairs(f.shape[1])
-    diff = ad.take_rows(f, list(range(0, n, 2))) - ad.take_rows(f, list(range(1, n, 2)))
-    prod = (ad.take_cols(diff, [i for i, _ in pair_list])
-            * ad.take_cols(diff, [j for _, j in pair_list]))
+    first, second = _pair_index(f.shape[1])
+    diff = ad.take_rows(f, np.arange(0, n, 2)) - ad.take_rows(f, np.arange(1, n, 2))
+    prod = ad.take_cols(diff, first) * ad.take_cols(diff, second)
     return ad.mean_rows(ad.tanh(prod * a))
 
 
@@ -341,7 +355,7 @@ def _even_prefix(f: ad.Node) -> ad.Node:
         raise ContractViolation(f"copula_distance: needs >= 2 rows, got {n}")
     if n % 2 == 0:
         return f
-    return ad.take_rows(f, list(range(n - 1)))
+    return ad.take_rows(f, np.arange(n - 1))
 
 
 def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: PairWeights,

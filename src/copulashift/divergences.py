@@ -13,6 +13,7 @@ the population-level shift tables.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +44,16 @@ class DivergenceKind:
         if self.bandwidths is not None:
             if self.kind != "mmd":
                 raise ContractViolation("DivergenceKind: bandwidths apply to 'mmd' only")
-            bw = tuple(float(b) for b in self.bandwidths)
-            if not bw or any(not np.isfinite(b) or b <= 0.0 for b in bw):
-                raise ContractViolation("DivergenceKind: bandwidths must be positive")
-            object.__setattr__(self, "bandwidths", bw)
-        if int(self.bins) < 2:
-            raise ContractViolation(f"DivergenceKind: bins must be >= 2, got {self.bins}")
+            bw = tuple(self.bandwidths) if isinstance(self.bandwidths, (tuple, list)) else ()
+            if not bw or not all(_is_real(b) and np.isfinite(b) and b > 0.0 for b in bw):
+                raise ContractViolation(
+                    f"DivergenceKind: bandwidths must be a list of positive numbers, "
+                    f"got {self.bandwidths!r}")
+            object.__setattr__(self, "bandwidths", tuple(float(b) for b in bw))
+        if (not isinstance(self.bins, numbers.Integral) or isinstance(self.bins, bool)
+                or self.bins < 2):
+            raise ContractViolation(
+                f"DivergenceKind: bins must be an integer >= 2, got {self.bins!r}")
         object.__setattr__(self, "bins", int(self.bins))
 
     @classmethod
@@ -62,6 +67,10 @@ class DivergenceKind:
     @classmethod
     def kl_histogram(cls, bins: int = 32):
         return cls("kl", bins=bins)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _column(x, name: str) -> np.ndarray:
@@ -103,20 +112,6 @@ def _bandwidths_from_blocks(sq_xx, sq_yy, sq_xy) -> tuple[float, float]:
     if base <= 0.0:
         base = 1.0
     return (base, 2.0 * base)
-
-
-def median_heuristic_bandwidths(x, y) -> tuple[float, float]:
-    """Median pairwise squared distance of the pooled sample, and twice it.
-
-    Falls back to the mean (then 1.0) when the median degenerates to zero,
-    e.g. when more than half the pooled values are identical.
-    """
-    xa = _column(x, "median_heuristic")
-    ya = _column(y, "median_heuristic")
-    d_xx = xa[:, None] - xa[None, :]
-    d_yy = ya[:, None] - ya[None, :]
-    d_xy = xa[:, None] - ya[None, :]
-    return _bandwidths_from_blocks(d_xx * d_xx, d_yy * d_yy, d_xy * d_xy)
 
 
 def _feature_column(f: ad.Node, c: int) -> ad.Node:

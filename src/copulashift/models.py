@@ -11,6 +11,7 @@ differentiable end to end.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,10 @@ from .errors import ContractViolation, ShapeError
 _CHECKPOINT_FORMAT = "copulashift-params-v1"
 
 _ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -37,20 +42,23 @@ class LayerSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        hidden = tuple(int(h) for h in self.hidden)
-        if not hidden or any(h < 1 for h in hidden):
+        hidden = tuple(self.hidden) if isinstance(self.hidden, (tuple, list)) else ()
+        if not hidden or not all(_is_int(h) and h >= 1 for h in hidden):
             raise ContractViolation(
-                f"LayerSpec: at least one positive hidden width required, got {self.hidden}")
-        object.__setattr__(self, "hidden", hidden)
+                f"LayerSpec: hidden must be a list of positive integer widths, "
+                f"got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(int(h) for h in hidden))
         if self.task not in ("classification", "regression"):
             raise ContractViolation(f"LayerSpec: unknown task {self.task!r}")
         if self.task == "classification":
-            if self.n_classes is None or int(self.n_classes) < 2:
-                raise ContractViolation("LayerSpec: classification needs n_classes >= 2")
+            if not _is_int(self.n_classes) or self.n_classes < 2:
+                raise ContractViolation(
+                    f"LayerSpec: classification needs an integer n_classes >= 2, "
+                    f"got {self.n_classes!r}")
             object.__setattr__(self, "n_classes", int(self.n_classes))
         else:
             object.__setattr__(self, "n_classes", None)
-        if self.activation not in _ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
             raise ContractViolation(
                 f"LayerSpec: activation must be one of {sorted(_ACTIVATIONS)}")
 

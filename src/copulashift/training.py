@@ -42,6 +42,16 @@ _H2_TAGS = {"kl": cop.DependenceKind.kl,
             "mmd": cop.DependenceKind.mmd_unit}
 
 
+def _nested_dict(name: str, value, required: str, alternative: str) -> dict:
+    if not isinstance(value, dict):
+        raise ContractViolation(
+            f"TrainConfig: {name} must be {alternative} or a dict, got {value!r}")
+    if required not in value:
+        raise ContractViolation(
+            f"TrainConfig: {name} needs the key {required!r}, got keys {sorted(value)}")
+    return value
+
+
 def _h1_from(value) -> dv.DivergenceKind:
     if isinstance(value, dv.DivergenceKind):
         return value
@@ -49,9 +59,8 @@ def _h1_from(value) -> dv.DivergenceKind:
         if value not in _H1_TAGS:
             raise ContractViolation(f"h1 must be one of {sorted(_H1_TAGS)}, got {value!r}")
         return _H1_TAGS[value]()
-    bw = value.get("bandwidths")
-    return dv.DivergenceKind(kind=value["kind"],
-                             bandwidths=None if bw is None else tuple(bw),
+    value = _nested_dict("h1", value, "kind", "a tag string")
+    return dv.DivergenceKind(kind=value["kind"], bandwidths=value.get("bandwidths"),
                              bins=value.get("bins", 32))
 
 
@@ -63,7 +72,16 @@ def _h2_from(value) -> cop.DependenceKind:
             raise ContractViolation(f"h2 must be one of {sorted(_H2_TAGS)}, got {value!r}")
         return _H2_TAGS[value]()
     # older dicts also carry "alpha" (always null) and "mc_samples": ignored
-    return cop.DependenceKind(tag=value["tag"])
+    return cop.DependenceKind(tag=_nested_dict("h2", value, "tag", "a tag string")["tag"])
+
+
+def _model_from(value) -> LayerSpec:
+    if isinstance(value, LayerSpec):
+        return value
+    value = _nested_dict("model", value, "hidden", "a LayerSpec")
+    return LayerSpec(hidden=value["hidden"], task=value.get("task", "classification"),
+                     n_classes=value.get("n_classes", 2),
+                     activation=value.get("activation", "relu"))
 
 
 @dataclass(frozen=True)
@@ -155,16 +173,9 @@ class TrainConfig:
                 f"TrainConfig.from_dict: unknown fields {sorted(unknown)}")
         for name in simple & set(data):
             kwargs[name] = data[name]
-        if "h1" in data:
-            kwargs["h1"] = _h1_from(data["h1"])
-        if "h2" in data:
-            kwargs["h2"] = _h2_from(data["h2"])
-        if "model" in data:
-            m = data["model"]
-            kwargs["model"] = m if isinstance(m, LayerSpec) else LayerSpec(
-                hidden=tuple(m["hidden"]), task=m.get("task", "classification"),
-                n_classes=m.get("n_classes", 2),
-                activation=m.get("activation", "relu"))
+        for name, parse in (("h1", _h1_from), ("h2", _h2_from), ("model", _model_from)):
+            if name in data:
+                kwargs[name] = parse(data[name])
         return cls(**kwargs)
 
 
@@ -227,20 +238,19 @@ def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node
 
     MMD enters as the distance (square root of the V-statistic, matching
     the gradient the paper derives); W1 as the sorted-sample mean absolute
-    difference (equal batch sizes by construction); histogram KL is
-    piecewise constant in the features, so it contributes its value with
-    zero gradient.
+    difference (equal batch sizes by construction), all columns in one
+    sort; histogram KL is piecewise constant in the features, so it
+    contributes its value with zero gradient.
     """
+    if kind.kind == "w1":
+        # mean_rows, not total * (1/n): its backward divides by n, which
+        # keeps the gradient bit-identical to a per-column mean
+        return ad.total(ad.mean_rows(ad.absolute(ad.sort_cols(fs) - ad.sort_cols(ft))))
     total = None
     for c in range(fs.shape[1]):
         cs, ct = ad.take_cols(fs, [c]), ad.take_cols(ft, [c])
         if kind.kind == "mmd":
             term = ad.sqrt(dv.mmd_squared_graph(cs, ct, kind.bandwidths))
-        elif kind.kind == "w1":
-            order_s = np.argsort(cs.value.ravel(), kind="stable")
-            order_t = np.argsort(ct.value.ravel(), kind="stable")
-            term = ad.mean(ad.absolute(
-                ad.take_rows(cs, order_s) - ad.take_rows(ct, order_t)))
         else:  # histogram KL: constant w.r.t. the features
             term = ad.constant(dv.kl_histogram_1d(
                 cs.value.ravel(), ct.value.ravel(), kind.bins))
@@ -248,8 +258,13 @@ def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node
     return total
 
 
-def _batch_loss(params, xs, ys, xt, config: TrainConfig):
-    """Build the full loss graph for one batch; returns scalars for the trace."""
+def _batch_loss(params, xs, ys, xt, config: TrainConfig,
+                weights: cop.PairWeights | None = None):
+    """Build the full loss graph for one batch; returns scalars for the trace.
+
+    ``weights`` are the copula pair weights; ``train`` builds them once per
+    run, and ``None`` builds them here.
+    """
     view, nodes = _node_view(params)
     f_s = extract_features(ad.constant(xs), view)
     sup = _supervised_loss(f_s, ys, view)
@@ -267,7 +282,8 @@ def _batch_loss(params, xs, ys, xt, config: TrainConfig):
         if config.alpha > 0:
             md = _marginal_term(f_s, f_t, config.h1) * config.alpha
         if config.beta > 0:
-            weights = cop.PairWeights.uniform(params.feature_dim, config.beta)
+            if weights is None:
+                weights = cop.PairWeights.uniform(params.feature_dim, config.beta)
             cd = cop.copula_distance_graph(f_s, f_t, weights, config.h2, config.tanh_a)
     loss = sup
     if md is not None:
@@ -324,6 +340,9 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
     best_val = math.inf
     best_params = None
     patience_left = config.early_stop_patience
+    weights = None  # copula pair weights, built once per run
+    if config.method == "cdan" and config.beta > 0:
+        weights = cop.PairWeights.uniform(params.feature_dim, config.beta)
 
     for epoch in range(1, config.max_epochs + 1):
         batches = list(batch_iterator(train_ds, config.batch_size,
@@ -343,7 +362,7 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
             cursor += len(idx)
             loss, nodes, (md_v, cd_v) = _batch_loss(
                 params, train_ds.features[idx], train_ds.labels[idx],
-                target.features[t_idx], config)
+                target.features[t_idx], config, weights)
             if not np.isfinite(loss.value[0, 0]):
                 raise FloatingPointError(
                     f"train: non-finite loss at epoch {epoch}, batch {k}")

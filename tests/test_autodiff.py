@@ -2,6 +2,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import copulashift.autodiff as ad
 from copulashift.errors import ContractViolation, DomainError, ShapeError
@@ -91,6 +92,22 @@ class TestForwardValues:
             ad.take_rows(x, [2, 0]).value, [[8, 9, 10, 11], [0, 1, 2, 3]])
         np.testing.assert_array_equal(
             ad.take_cols(x, [1, 1]).value, [[1, 1], [5, 5], [9, 9]])
+        np.testing.assert_array_equal(
+            ad.take_rows(x, np.array([1], dtype=np.uint8)).value, [[4, 5, 6, 7]])
+        # float indices would truncate and a bool mask would read as 0/1
+        for gather in (ad.take_rows, ad.take_cols):
+            for bad in ([0.7, 1.2], np.array([1.0]), [True, False],
+                        np.array([True, False, True])):
+                with pytest.raises(ContractViolation, match="integer dtype"):
+                    gather(x, bad)
+
+    def test_sort_cols(self):
+        x = ad.leaf([[3.0, -1.0], [1.0, 2.0], [2.0, -1.0]])
+        out = ad.sort_cols(x)
+        np.testing.assert_array_equal(out.value, [[1, -1], [2, -1], [3, 2]])
+        ad.backward(ad.total(out * ad.constant([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])))
+        # ties keep their row order (stable), so row 0 of column 1 is rank 0
+        np.testing.assert_array_equal(x.grad, [[3, 10], [1, 30], [2, 20]])
 
 
 class TestGradients:
@@ -151,6 +168,34 @@ class TestGradients:
         out = ad.total(ad.take_cols(x, [0, 0, 1]))
         ad.backward(out)
         np.testing.assert_array_equal(x.grad, [[2.0, 1.0], [2.0, 1.0]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_gather_scatter_matches_add_at(self, data):
+        # Oracle: np.add.at, which adds duplicates one at a time in order.
+        n = data.draw(st.integers(1, 6), label="rows")
+        m = data.draw(st.integers(1, 6), label="cols")
+        axis = data.draw(st.sampled_from([0, 1]), label="axis")
+        bound = (n, m)[axis]
+        idx = data.draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=12),
+                        label="indices")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        x = ad.leaf(rng.normal(size=(n, m)))
+        gathered = ad.take_rows(x, idx) if axis == 0 else ad.take_cols(x, idx)
+        weights = rng.normal(size=gathered.shape)
+        ad.backward(ad.total(gathered * ad.constant(weights)))
+        expected = np.zeros((n, m))
+        if axis == 0:
+            np.add.at(expected, np.array(idx), weights)
+        else:
+            np.add.at(expected, (slice(None), np.array(idx)), weights)
+        assert np.array_equal(x.grad, expected)
+        # wide graphs hand the backward Fortran-ordered gradients
+        rows, cols = ((np.array(idx)[:, None], np.arange(m)) if axis == 0
+                      else (np.arange(n)[:, None], np.array(idx)))
+        fortran = ad._scatter_add((n, m), rows, cols, np.asfortranarray(weights))
+        assert np.array_equal(fortran, expected)
 
     def test_relu_subgradient_zero_at_kink(self):
         x = ad.leaf([[0.0]])
@@ -251,6 +296,15 @@ class TestFiniteDifferenceSweep:
                         lambda n: ad.mean(ad.take_rows(n, [0, 0, 2])),
                         lambda n: ad.mean(ad.take_cols(n, [1, 1, 2]))):
                 assert ad.finite_difference_check(lambda x: _as_scalar(red(x)), [a]) < 1e-6
+
+    def test_sort_cols_fd(self):
+        rng = np.random.default_rng(46)
+        for _ in range(10):
+            # continuous draws: no ties, so the sort is locally constant
+            a = rng.uniform(-2, 2, size=(5, 3))
+            weights = ad.constant(rng.normal(size=(5, 3)))
+            assert ad.finite_difference_check(
+                lambda x: ad.total(ad.sort_cols(x) * weights), [a]) < 1e-6
 
     def test_pairwise_diff_kernel(self):
         rng = np.random.default_rng(44)

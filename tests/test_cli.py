@@ -141,6 +141,22 @@ class TestTrainEval:
                        "--config", cfg, "--out", tmp_path / "m")
         assert code == cli.EXIT_USAGE
         assert "max_epochs" in capsys.readouterr().err
+        for data, name in (({"h1": {"bins": 4}}, "h1"),
+                           ({"h1": {"kind": "kl", "bins": "x"}}, "bins"),
+                           ({"h1": 5}, "h1"),
+                           ({"h2": {}}, "h2"),
+                           ({"model": {"hidden": [4, "a"]}}, "hidden"),
+                           ({"model": 5}, "model"),
+                           ([1, 2], "JSON object")):
+            cfg.write_text(json.dumps(data))
+            code = run_cli("train", "--source", src, "--target", tgt,
+                           "--config", cfg, "--out", tmp_path / "m")
+            assert code == cli.EXIT_USAGE
+            assert name in capsys.readouterr().err
+        code = run_cli("train", "--source", src, "--target", tgt,
+                       "--hidden", "4,a", "--out", tmp_path / "m")
+        assert code == cli.EXIT_USAGE
+        assert "--hidden" in capsys.readouterr().err
 
     def test_unlabeled_source_exits_usage(self, tmp_path, capsys):
         bare = tmp_path / "bare.csv"

@@ -10,7 +10,8 @@ from copulashift.datasets import (Dataset, MinMaxStats, MoonsConfig,
 from copulashift.errors import ContractViolation
 from copulashift.models import LayerSpec, extract_features, init_params
 from copulashift.training import (GridSearchError, TrainConfig,
-                                  _auc_mann_whitney, _batch_loss, _node_view,
+                                  _auc_mann_whitney, _batch_loss,
+                                  _marginal_term, _node_view,
                                   _supervised_loss, aggregate_metrics,
                                   evaluate_classification, evaluate_regression,
                                   grid_search, learned_shift, run_experiment,
@@ -72,6 +73,20 @@ class TestTrainConfig:
                 TrainConfig(**{name: bad})
         with pytest.raises(ContractViolation, match="max_epochs"):
             TrainConfig.from_dict({"max_epochs": 2.5})
+        for data, name in (({"h1": {"bins": 4}}, "h1"),
+                           ({"h1": {"kind": "kl", "bins": "x"}}, "bins"),
+                           ({"h1": {"kind": "kl", "bins": 2.7}}, "bins"),
+                           ({"h1": {"kind": "mmd", "bandwidths": 0.5}}, "bandwidths"),
+                           ({"h1": 5}, "h1"),
+                           ({"h2": {}}, "h2"),
+                           ({"h2": 5}, "h2"),
+                           ({"model": {"hidden": [4, "a"]}}, "hidden"),
+                           ({"model": {"task": "regression"}}, "model"),
+                           ({"model": {"hidden": [4, 2], "n_classes": "x"}}, "n_classes")):
+            with pytest.raises(ContractViolation, match=name):
+                TrainConfig.from_dict(data)
+        with pytest.raises(ContractViolation, match="bins"):
+            dv.DivergenceKind(kind="kl", bins=2.7)
 
     def test_copula_method_needs_two_features(self):
         narrow = LayerSpec(hidden=(8, 1), task="classification", n_classes=2)
@@ -115,6 +130,47 @@ class TestTrainConfig:
             TrainConfig.from_dict({"h2": "js"})
         with pytest.raises(ContractViolation):
             TrainConfig.from_dict({"h1": "energy"})
+
+
+def w1_per_column(fs, ft):
+    """W1 marginal term one column at a time: the oracle for the sorted form."""
+    total = None
+    for c in range(fs.shape[1]):
+        cs, ct = ad.take_cols(fs, [c]), ad.take_cols(ft, [c])
+        order_s = np.argsort(cs.value.ravel(), kind="stable")
+        order_t = np.argsort(ct.value.ravel(), kind="stable")
+        term = ad.mean(ad.absolute(
+            ad.take_rows(cs, order_s) - ad.take_rows(ct, order_t)))
+        total = term if total is None else total + term
+    return total
+
+
+class TestW1MarginalTerm:
+    # n = 6 and 12 are batch sizes where alpha * (1/n) != alpha / n at
+    # alpha = 0.02, so a 1/n scale would break the exact gradient match.
+    @pytest.mark.parametrize("n, m, ties", [(6, 3, False), (12, 4, False),
+                                            (7, 5, False), (9, 1, False),
+                                            (6, 4, True), (5, 1, True)])
+    def test_sorted_form_matches_per_column_oracle(self, n, m, ties):
+        rng = np.random.default_rng(100 * n + m)
+        if ties:
+            xs, xt = (rng.integers(-2, 3, size=(n, m)).astype(float) for _ in range(2))
+        else:
+            xs, xt = rng.normal(size=(n, m)), rng.normal(0.3, 1.2, size=(n, m))
+        got = []
+        for build in (lambda a, b: _marginal_term(a, b, dv.DivergenceKind.wasserstein1()),
+                      w1_per_column):
+            fs, ft = ad.leaf(xs), ad.leaf(xt)
+            value = build(fs, ft)
+            ad.backward(value * 0.02)  # the trainer scales the term by alpha
+            got.append((value.item(), fs.grad, ft.grad))
+        (v_new, gs_new, gt_new), (v_old, gs_old, gt_old) = got
+        # the sum order differs, so the value may move by an ulp
+        assert abs(v_new - v_old) <= 1e-12 * abs(v_old)
+        assert np.array_equal(gs_new, gs_old)
+        assert np.array_equal(gt_new, gt_old)
+        expected = sum(dv.wasserstein1_1d(xs[:, c], xt[:, c]) for c in range(m))
+        assert abs(v_new - expected) <= 1e-12 * max(abs(expected), 1e-300)
 
 
 class TestTrainValidation:
