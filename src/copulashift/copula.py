@@ -16,7 +16,9 @@ unit square serves as the independent oracle for the closed forms.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,10 +80,11 @@ def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PairWeights:
-    """Nonnegative weight per feature pair (i < j) of an m-dim representation."""
+    """Nonnegative weight per feature pair (i < j); frozen once validated."""
 
     m: int
-    weights: dict = field(default_factory=dict)
+    weights: Mapping = field(default_factory=dict)
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -96,14 +99,16 @@ class PairWeights:
         for k, v in self.weights.items():
             if not np.isfinite(v) or v < 0:
                 raise ContractViolation(f"PairWeights: weight for {k} must be >= 0, got {v}")
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        object.__setattr__(self, "_row", ad.tensor([[self.weights[p] for p in _pairs(self.m)]]))
 
     @classmethod
     def uniform(cls, m: int, value: float = 1.0):
         return cls(m, {p: float(value) for p in _pairs(m)})
 
     def as_row(self) -> np.ndarray:
-        """Weights in ascending (i, j) order as a (1, P) array."""
-        return np.array([[self.weights[p] for p in _pairs(self.m)]])
+        """Weights in ascending (i, j) order as a read-only (1, P) array."""
+        return self._row
 
 
 @dataclass(frozen=True)
@@ -178,13 +183,35 @@ def _check_sharpness(a: float) -> float:
 def _smooth_taus(f: ad.Node, a: float) -> ad.Node:
     """(1, P) tanh-smoothed taus of every column pair (i < j) of an (N, m) node.
 
-    Rows (0, 1), (2, 3), ... form the disjoint pairs, so N must be even.
+    Rows (0, 1), (2, 3), ... form the k = N // 2 disjoint pairs; an odd final
+    row is left out. One node: with d = f[0::2] - f[1::2], the gradient of
+    d[:, i] is sum_j W[i, j] d[:, j], W symmetric with w = g a (1 - t^2) / k.
     """
-    n = f.shape[0]
-    first, second = _pair_index(f.shape[1])
-    diff = ad.take_rows(f, np.arange(0, n, 2)) - ad.take_rows(f, np.arange(1, n, 2))
-    prod = ad.take_cols(diff, first) * ad.take_cols(diff, second)
-    return ad.mean_rows(ad.tanh(prod * a))
+    n, m = f.shape
+    k = n // 2
+    first, second = _pair_index(m)
+    dT = np.ascontiguousarray((f.value[0:2 * k:2] - f.value[1:2 * k:2]).T)
+    t = dT[first] * dT[second]  # (P, k); worked in place to spare fresh arrays
+    t *= a
+    np.tanh(t, out=t)
+    tau = t.mean(axis=1).reshape(1, -1)
+    tau.setflags(write=False)
+
+    def back(g):
+        w = t * t
+        np.subtract(1.0, w, out=w)
+        w *= a
+        w *= g.T / k
+        big_w = np.zeros((m, m, k))
+        big_w[first, second] = w
+        big_w[second, first] = w
+        gd = np.einsum("ijr,jr->ri", big_w, dT)
+        grad = np.zeros((n, m))
+        grad[0:2 * k:2] = gd
+        grad[1:2 * k:2] = -gd
+        return (grad,)
+
+    return ad.Node(tau, "smooth_taus", (f,), back)
 
 
 def copula_param_from_tau(tau):
@@ -217,8 +244,7 @@ def estimate_copula(samples, a: float | None = None) -> CopulaEstimate:
     if a is None:
         taus = [kendall_tau_exact(arr[:, [i, j]]) for i, j in pair_list]
     else:
-        n2 = arr.shape[0] - (arr.shape[0] % 2)
-        taus = _smooth_taus(ad.constant(arr[:n2]), _check_sharpness(a)).value.ravel()
+        taus = _smooth_taus(ad.constant(arr), _check_sharpness(a)).value.ravel()
     sigma = np.eye(m)
     dets = {}
     for (i, j), tau in zip(pair_list, taus):
@@ -349,15 +375,6 @@ def pair_dependence_divergence_mc(rho: float, kind: DependenceKind, seed: int,
 
 # -- the Eq. 2 aggregate ---------------------------------------------------------
 
-def _even_prefix(f: ad.Node) -> ad.Node:
-    n = f.shape[0]
-    if n < 2:
-        raise ContractViolation(f"copula_distance: needs >= 2 rows, got {n}")
-    if n % 2 == 0:
-        return f
-    return ad.take_rows(f, np.arange(n - 1))
-
-
 def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: PairWeights,
                           kind: DependenceKind, a: float) -> ad.Node:
     """Copula distance between two (N, m) feature nodes, differentiable.
@@ -375,14 +392,18 @@ def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: PairWeights,
     if beta.m != m:
         raise ContractViolation(
             f"copula_distance: weights are for m={beta.m}, features have m={m}")
+    n = min(fs.shape[0], ft.shape[0])
+    if n < 2:
+        raise ContractViolation(f"copula_distance: needs >= 2 rows, got {n}")
 
     def pair_divergences(f):
-        rhos = copula_param_from_tau(_smooth_taus(_even_prefix(f), a))
+        rhos = copula_param_from_tau(_smooth_taus(f, a))
         det = 1.0 - rhos * rhos
         return _divergence_from_det(det, kind.tag)
 
     gap = ad.absolute(pair_divergences(fs) - pair_divergences(ft))
-    return ad.total(gap * ad.constant(beta.as_row()))
+    # the row was validated and frozen when the weights were built
+    return ad.total(gap * ad.Node(beta.as_row(), "constant"))
 
 
 def copula_distance(fs, ft, beta: PairWeights, kind: DependenceKind,

@@ -50,11 +50,7 @@ class DivergenceKind:
                     f"DivergenceKind: bandwidths must be a list of positive numbers, "
                     f"got {self.bandwidths!r}")
             object.__setattr__(self, "bandwidths", tuple(float(b) for b in bw))
-        if (not isinstance(self.bins, numbers.Integral) or isinstance(self.bins, bool)
-                or self.bins < 2):
-            raise ContractViolation(
-                f"DivergenceKind: bins must be an integer >= 2, got {self.bins!r}")
-        object.__setattr__(self, "bins", int(self.bins))
+        object.__setattr__(self, "bins", _check_bins("DivergenceKind", self.bins))
 
     @classmethod
     def mmd(cls, bandwidths=None):
@@ -71,6 +67,12 @@ class DivergenceKind:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_bins(where: str, bins) -> int:
+    if not isinstance(bins, numbers.Integral) or isinstance(bins, bool) or bins < 2:
+        raise ContractViolation(f"{where}: bins must be an integer >= 2, got {bins!r}")
+    return int(bins)
 
 
 def _column(x, name: str) -> np.ndarray:
@@ -188,9 +190,7 @@ def kl_histogram_1d(x, y, bins: int = 32) -> float:
     1/(bins*N) per bin for a sample of size N, so the estimate stays finite
     on disjoint supports and is exactly zero for identical samples.
     """
-    if int(bins) < 2:
-        raise ContractViolation(f"kl_histogram_1d: bins must be >= 2, got {bins}")
-    bins = int(bins)
+    bins = _check_bins("kl_histogram_1d", bins)
     xa = _column(x, "kl_histogram_1d")
     ya = _column(y, "kl_histogram_1d")
     lo = min(xa.min(), ya.min())

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import copulashift.autodiff as ad
+import copulashift.copula as cop
 from copulashift.copula import (CopulaEstimate, DependenceKind, PairWeights,
                                 cd_kl_gradient_analytic, copula_distance,
                                 copula_distance_graph, copula_param_from_tau,
@@ -11,6 +15,7 @@ from copulashift.copula import (CopulaEstimate, DependenceKind, PairWeights,
                                 pair_dependence_divergence,
                                 pair_dependence_divergence_mc)
 from copulashift.errors import ContractViolation, DomainError
+from oracles import smooth_taus_composite
 
 
 def correlated_sample(rho: float, n: int, seed: int) -> np.ndarray:
@@ -272,6 +277,19 @@ class TestPairWeights:
         with pytest.raises(ContractViolation):
             PairWeights(3, {(0, 1): 1.0})
 
+    def test_frozen_past_the_checks(self):
+        source = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}
+        w = PairWeights(3, source)
+        with pytest.raises(TypeError):
+            w.weights[(0, 1)] = -5.0
+        source[(0, 1)] = -5.0  # the caller's dict is copied, not kept
+        assert w.weights[(0, 1)] == 1.0
+        row = w.as_row()
+        assert row is w.as_row() and not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0, 0] = -5.0
+        np.testing.assert_array_equal(row, [[1.0, 2.0, 3.0]])
+
 
 class TestCopulaDistance:
     @staticmethod
@@ -339,3 +357,93 @@ class TestAnalyticGradient:
         auto = leaf.grad
         denom = np.abs(auto).max() + 1e-300
         assert np.max(np.abs(analytic - auto)) / denom < 1e-6
+
+
+KIND_TAGS = ("kl", "chi2", "w2", "mmd")
+
+
+def _leaf_grads(build, *values):
+    leaves = [ad.leaf(v) for v in values]
+    out = build(*leaves)
+    ad.backward(out)
+    return out.value, [x.grad.copy() for x in leaves]
+
+
+def _assert_close(got, ref):
+    # relative to the largest reference entry, so near-zero entries count too
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+class TestFusedSmoothTaus:
+    """The one-node ``_smooth_taus`` against its graph composite (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("shape", [(256, 64), (1024, 64), (64, 5), (10, 2),
+                                       (6, 3), (7, 3)])
+    def test_forward_is_bit_identical(self, shape):
+        x = np.random.default_rng(shape[0] * shape[1]).normal(size=shape)
+        fused = _smooth_taus(ad.constant(x), 100.0).value
+        np.testing.assert_array_equal(fused, smooth_taus_composite(ad.constant(x), 100.0).value)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_composite(self, data):
+        n = data.draw(st.integers(2, 13), label="rows")  # odd n included
+        m = data.draw(st.integers(2, 6), label="cols")
+        a = data.draw(st.sampled_from([0.5, 3.0, 100.0]), label="a")
+        tag = data.draw(st.sampled_from(KIND_TAGS), label="kind")
+        zero_pairs = data.draw(st.integers(0, n // 2), label="zero row pairs")
+        clip = data.draw(st.booleans(), label="clipped rho")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        fs = rng.normal(size=(n, m))
+        ft = rng.normal(size=(n, m))
+        fs[1:2 * zero_pairs:2] = fs[0:2 * zero_pairs:2]  # rows with zero differences
+        if clip:
+            # every row pair differs by 20 in columns 0 and 1: tau = 1 for
+            # pair (0, 1), so its rho sits on the clip
+            fs[:, :2] = np.where(np.arange(n) % 2 == 0, 10.0, -10.0)[:, None]
+        p = m * (m - 1) // 2
+        g = ad.constant(rng.normal(size=(1, p)))
+
+        taus = [_leaf_grads(lambda x: ad.total(fn(x, a) * g), fs)
+                for fn in (_smooth_taus, smooth_taus_composite)]
+        _assert_close(taus[0][0], taus[1][0])
+        if clip:
+            assert _smooth_taus(ad.constant(fs), a).value[0, 0] == 1.0
+        _assert_close(taus[0][1][0], taus[1][1][0])
+        assert np.all(taus[0][1][0][2 * (n // 2):] == 0.0)  # the dropped odd row
+
+        w = PairWeights(m, {pair: float(v) for pair, v in
+                            zip(cop._pairs(m), rng.uniform(0.1, 2.0, size=p))})
+        kind = DependenceKind(tag)
+
+        def cd(x, y):
+            return copula_distance_graph(x, y, w, kind, a)
+
+        fused = _leaf_grads(cd, fs, ft)
+        with mock.patch.object(cop, "_smooth_taus", smooth_taus_composite):
+            ref = _leaf_grads(cd, fs, ft)
+        _assert_close(fused[0], ref[0])
+        for got, want in zip(fused[1], ref[1]):
+            _assert_close(got, want)
+
+    def test_finite_differences(self):
+        # a soft tanh keeps the check away from saturation; odd N, m = 4
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(9, 4))
+        g = ad.constant(rng.normal(size=(1, 6)))
+        err = ad.finite_difference_check(
+            lambda f: ad.total(_smooth_taus(f, 0.7) * g), [x])
+        assert err < 1e-6
+
+    def test_kendall_tau_smooth_keeps_even_contract(self):
+        with pytest.raises(ContractViolation):
+            kendall_tau_smooth(np.zeros((5, 2)), a=10.0)
+        with pytest.raises(ContractViolation, match=">= 2 rows"):
+            copula_distance(np.zeros((1, 2)), np.zeros((4, 2)),
+                            PairWeights.uniform(2), DependenceKind.kl(), 10.0)
+
+    def test_builds_one_node(self):
+        x = ad.leaf(np.random.default_rng(2).normal(size=(8, 3)))
+        node = _smooth_taus(x, 5.0)
+        assert node.op == "smooth_taus" and node.parents == (x,)

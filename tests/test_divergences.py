@@ -158,6 +158,12 @@ class TestKLHistogram:
         with pytest.raises(ContractViolation):
             kl_histogram_1d(np.zeros(3), np.ones(3), bins=1)
 
+    @pytest.mark.parametrize("bins", [2.7, "x", True, None])
+    def test_rejects_non_integer_bins(self, bins):
+        # 2.7 used to be truncated to 2 and "x" raised ValueError
+        with pytest.raises(ContractViolation, match="bins must be an integer"):
+            kl_histogram_1d(np.zeros(3), np.ones(3), bins=bins)
+
 
 class TestCoral:
     XS = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 0.5], [3.0, 3.0]])
