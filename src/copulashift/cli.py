@@ -28,7 +28,7 @@ import numpy as np
 from . import copula as cop
 from . import experiments as ex
 from .datasets import (Dataset, MinMaxStats, MoonsConfig, generate_moons,
-                       load_delimited, write_dataset)
+                       load_delimited, read_header, write_dataset)
 from .errors import ContractViolation
 from .models import load_params, save_params
 from .training import (TrainConfig, evaluate_classification,
@@ -95,12 +95,7 @@ def _resolve_config(args, model_hint: dict | None = None) -> TrainConfig:
 def _load_maybe_labeled(path, delimiter: str, label_column: str,
                         domain: str) -> Dataset:
     """Load a CSV, treating ``label_column`` as the label only if present."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = next((ln for ln in fh
-                            if ln.strip() and not ln.lstrip().startswith("#")), "")
-    header = [h.strip().strip('"') for h in
-              next(csv.reader([header_line], delimiter=delimiter), [])]
-    column = label_column if label_column in header else None
+    column = label_column if label_column in read_header(path, delimiter) else None
     return load_delimited(path, delimiter=delimiter, label_column=column,
                           domain=domain)
 

@@ -16,6 +16,7 @@ unit square serves as the independent oracle for the closed forms.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -78,6 +79,12 @@ def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
+def _check_width(m) -> int:
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
+        raise ContractViolation(f"PairWeights: m must be an integer >= 2, got {m!r}")
+    return int(m)
+
+
 @dataclass(frozen=True)
 class PairWeights:
     """Nonnegative weight per feature pair (i < j); frozen once validated."""
@@ -87,24 +94,34 @@ class PairWeights:
     _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ContractViolation(f"PairWeights: m must be >= 2, got {self.m}")
-        expected = set(_pairs(self.m))
+        object.__setattr__(self, "m", _check_width(self.m))
+        if not isinstance(self.weights, Mapping):
+            raise ContractViolation(
+                f"PairWeights: weights must be a mapping, got {type(self.weights).__name__}")
+        pairs = _pairs(self.m)
+        expected = set(pairs)
         got = set(self.weights)
         if got != expected:
             raise ContractViolation(
                 f"PairWeights: keys must cover exactly the {len(expected)} pairs "
                 f"of m={self.m}; missing {sorted(expected - got)[:3]}, "
                 f"extra {sorted(got - expected)[:3]}")
-        for k, v in self.weights.items():
-            if not np.isfinite(v) or v < 0:
-                raise ContractViolation(f"PairWeights: weight for {k} must be >= 0, got {v}")
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
-        object.__setattr__(self, "_row", ad.tensor([[self.weights[p] for p in _pairs(self.m)]]))
+        values = [self.weights[p] for p in pairs]
+        # a value that is not a real number reads as NaN, so one check finds it
+        row = np.array([v if isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        else np.nan for v in values], dtype=np.float64)
+        bad = ~(np.isfinite(row) & (row >= 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ContractViolation(f"PairWeights: weight for {pairs[k]} must be a finite "
+                                    f"number >= 0, got {values[k]!r}")
+        object.__setattr__(self, "weights", MappingProxyType(dict(zip(pairs, row.tolist()))))
+        object.__setattr__(self, "_row", ad.tensor(row[None, :]))
 
     @classmethod
     def uniform(cls, m: int, value: float = 1.0):
-        return cls(m, {p: float(value) for p in _pairs(m)})
+        m = _check_width(m)
+        return cls(m, dict.fromkeys(_pairs(m), value))
 
     def as_row(self) -> np.ndarray:
         """Weights in ascending (i, j) order as a read-only (1, P) array."""

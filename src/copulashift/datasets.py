@@ -9,6 +9,7 @@ the loader skips.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from dataclasses import dataclass, field, replace
@@ -105,36 +106,61 @@ def generate_moons(config: MoonsConfig, domain: str = "source") -> Dataset:
                    feature_names=["x", "y"], label_name="label")
 
 
+def _content_rows(path, delimiter: str):
+    """csv rows of a UTF-8 file's lines that are neither blank nor '#' comments."""
+    try:
+        csv.reader((), delimiter=delimiter)
+    except TypeError as err:
+        raise ContractViolation(f"load_delimited: bad delimiter {delimiter!r}: {err}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = (ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#"))
+            yield from csv.reader(lines, delimiter=delimiter)
+    except UnicodeDecodeError as err:
+        raise ContractViolation(f"load_delimited: {path} is not UTF-8 text: {err}") from None
+    except csv.Error as err:
+        raise ContractViolation(f"load_delimited: {path}: {err}") from None
+
+
+def _header(rows, path) -> list[str]:
+    first = next(rows, None)
+    if first is None:
+        raise ContractViolation(f"load_delimited: {path} has no header row")
+    return [h.strip().strip('"') for h in first]
+
+
+def read_header(path, delimiter: str = ",") -> list[str]:
+    """Column names of a delimited file, read as ``load_delimited`` reads them."""
+    with contextlib.closing(_content_rows(path, delimiter)) as rows:
+        return _header(rows, path)
+
+
 def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
                    domain: str = "source") -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
 
-    Leading '#' lines are skipped. Every cell must parse as a real number;
-    failures report the 1-based row and the column name. The designated
-    label column, when given, is separated out (integer dtype when all
-    values are integral).
+    The file must be UTF-8 and the delimiter one character. Blank and '#'
+    lines are skipped. Every cell must parse as a real number (what
+    ``float()`` accepts); failures report the 1-based row and the column
+    name. The designated label column, when given, is separated out
+    (integer dtype when all values are integral).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ContractViolation(f"load_delimited: {path} has no header row")
-    rows = list(csv.reader(lines, delimiter=delimiter))
-    header = [h.strip().strip('"') for h in rows[0]]
+    rows = _content_rows(path, delimiter)
+    header = _header(rows, path)
+    body = list(rows)
     if label_column is not None and label_column not in header:
         raise ContractViolation(
             f"load_delimited: label column {label_column!r} not in header {header}")
-    data = np.empty((len(rows) - 1, len(header)))
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise ContractViolation(
                 f"load_delimited: row {r} has {len(row)} cells, header has {len(header)}")
-        for c, cell in enumerate(row):
-            try:
-                data[r - 2, c] = float(cell)
-            except ValueError:
-                raise ContractViolation(
-                    f"load_delimited: row {r}, column {header[c]!r}: "
-                    f"cannot parse {cell!r} as a number") from None
+    try:
+        # numpy's str -> float64 cast accepts and rejects what float() does
+        data = np.array(body, dtype=np.float64).reshape(len(body), len(header))
+    except ValueError:
+        _raise_first_bad_cell(body, header)
+        raise
     if label_column is None:
         return Dataset(data, None, domain=domain, feature_names=header)
     li = header.index(label_column)
@@ -145,6 +171,18 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
     names = [h for k, h in enumerate(header) if k != li]
     return Dataset(features, labels, domain=domain,
                    feature_names=names, label_name=label_column)
+
+
+def _raise_first_bad_cell(body, header) -> None:
+    """Name the first cell, in row-major order, that float() rejects."""
+    for r, row in enumerate(body, start=2):
+        for c, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                raise ContractViolation(
+                    f"load_delimited: row {r}, column {header[c]!r}: "
+                    f"cannot parse {cell!r} as a number") from None
 
 
 def write_dataset(ds: Dataset, path, header_note: dict | None = None) -> None:

@@ -212,6 +212,31 @@ class TestShiftReport:
         doc2, _ = split_json_and_csv(capsys.readouterr().out)
         np.testing.assert_allclose(doc2["cd"], 2.0 * doc1["cd"], rtol=1e-12)
 
+    def test_label_column_found_with_the_given_delimiter(self, tmp_path, capsys):
+        data = tmp_path / "wine.csv"
+        data.write_text("# note\nx;y;quality\n0.1;1.0;5\n0.4;0.2;6\n"
+                        "0.9;0.5;5\n0.3;0.8;7\n")
+        code = run_cli("shift-report", data, data, "--delimiter", ";",
+                       "--label-column", "quality")
+        assert code == cli.EXIT_OK
+        _, rows = split_json_and_csv(capsys.readouterr().out)
+        assert [r[0] for r in rows] == ["md:x", "md:y", "cd"]
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_bad_delimiter_exits_usage(self, tmp_path, capsys, delimiter):
+        data = make_moons_csv(tmp_path, "a.csv", stretch=2, seed=5)
+        code = run_cli("shift-report", data, data, "--delimiter", delimiter)
+        assert code == cli.EXIT_USAGE
+        assert f"delimiter {delimiter!r}" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_usage(self, tmp_path, capsys):
+        data = make_moons_csv(tmp_path, "a.csv", stretch=2, seed=5)
+        latin = tmp_path / "latin1.csv"
+        latin.write_bytes(b"# caf\xe9\n" + data.read_bytes())
+        code = run_cli("shift-report", data, latin)
+        assert code == cli.EXIT_USAGE
+        assert "latin1.csv is not UTF-8" in capsys.readouterr().err
+
     def test_out_writes_json_and_csv(self, tmp_path, capsys):
         data = make_moons_csv(tmp_path, "a.csv", stretch=2, seed=5)
         base = tmp_path / "report.csv"

@@ -277,6 +277,27 @@ class TestPairWeights:
         with pytest.raises(ContractViolation):
             PairWeights(3, {(0, 1): 1.0})
 
+    @pytest.mark.parametrize("m, weights", [
+        (2.5, {}), ("3", {}), (True, {}), (2, None), (2, [((0, 1), 1.0)]),
+        (2, {(0, 1): "x"}), (2, {(0, 1): None}), (2, {(0, 1): [1, 2]}),
+        (2, {(0, 1): True}), (2, {(0, 1): float("inf")}),
+    ])
+    def test_malformed_input_is_a_contract_violation(self, m, weights):
+        with pytest.raises(ContractViolation, match="PairWeights"):
+            PairWeights(m, weights)
+
+    @pytest.mark.parametrize("m, value", [(2, "x"), (2, "3"), (2, None),
+                                          (2, False), (2.5, 1.0), (1, 1.0)])
+    def test_uniform_rejects_malformed_input(self, m, value):
+        with pytest.raises(ContractViolation, match="PairWeights"):
+            PairWeights.uniform(m, value)
+
+    def test_numpy_scalars_accepted(self):
+        w = PairWeights(np.int64(3), {(0, 1): 1, (0, 2): np.float32(0.5),
+                                      (1, 2): np.int64(2)})
+        assert w.m == 3 and type(w.m) is int
+        np.testing.assert_array_equal(w.as_row(), [[1.0, 0.5, 2.0]])
+
     def test_frozen_past_the_checks(self):
         source = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}
         w = PairWeights(3, source)

@@ -1,10 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copulashift.datasets import (Dataset, MinMaxStats, MoonsConfig,
                                   batch_iterator, generate_moons,
                                   load_delimited, minmax_normalize,
-                                  write_dataset)
+                                  read_header, write_dataset)
 from copulashift.errors import ContractViolation
 
 
@@ -121,6 +125,80 @@ class TestDelimitedRoundTrip:
         path.write_text("# note\na,b\n1,2\n")
         ds = load_delimited(path)
         assert ds.features.shape == (1, 2)
+
+    def test_bad_cell_in_last_row_and_column(self, tmp_path):
+        path = tmp_path / "last.csv"
+        path.write_text("# note\na,b,c\n1,2,3\n4,5,6\n7,8,9x\n")
+        with pytest.raises(ContractViolation) as info:
+            load_delimited(path)
+        assert str(info.value) == ("load_delimited: row 4, column 'c': "
+                                   "cannot parse '9x' as a number")
+
+    def test_first_bad_cell_in_row_major_order_is_named(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("a,b\n1,\n,2\n")
+        with pytest.raises(ContractViolation, match=r"row 2, column 'b': cannot parse ''"):
+            load_delimited(path)
+
+    def test_header_only_file_loads_empty(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("a;b;quality\n")
+        ds = load_delimited(path, delimiter=";")
+        assert ds.features.shape == (0, 3) and ds.feature_names == ["a", "b", "quality"]
+        ds = load_delimited(path, delimiter=";", label_column="quality")
+        assert ds.features.shape == (0, 2) and ds.labels.shape == (0,)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(0, 8), n_cols=st.integers(1, 4))
+    def test_cells_load_as_float_parses_them(self, data, n_rows, n_cols):
+        value = st.floats(allow_nan=False, allow_infinity=False)
+        form = st.sampled_from([repr, lambda v: "%.6g" % v, lambda v: "%.17g" % v])
+        pad = st.sampled_from(["", " ", "  ", "\t", " \t"])
+        rows = [[data.draw(pad) + data.draw(form)(data.draw(value)) + data.draw(pad)
+                 for _ in range(n_cols)] for _ in range(n_rows)]
+        header = [f"c{k}" for k in range(n_cols)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cells.csv"
+            path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n",
+                            encoding="utf-8")
+            got = load_delimited(path).features
+        want = np.array([[float(c) for c in r] for r in rows],
+                        dtype=np.float64).reshape(n_rows, n_cols)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit, -0.0 included
+
+
+class TestDelimitedBoundary:
+    @pytest.mark.parametrize("delimiter", [";;", "", None])
+    def test_bad_delimiter_named(self, tmp_path, delimiter):
+        path = tmp_path / "d.csv"
+        path.write_text("a;b\n1;2\n")
+        with pytest.raises(ContractViolation, match="delimiter"):
+            load_delimited(path, delimiter=delimiter)
+        with pytest.raises(ContractViolation, match="delimiter"):
+            read_header(path, delimiter=delimiter)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b\n1,2\n3,caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ContractViolation, match="latin1.csv is not UTF-8"):
+            load_delimited(path)
+
+    def test_csv_reader_error_named(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text('a\n"' + "1" * 200_000 + '"\n')  # past the csv field limit
+        with pytest.raises(ContractViolation, match="huge.csv"):
+            load_delimited(path)
+
+    def test_read_header_matches_loader(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('# note\n\n "a" ;b;quality\n1;2;3\n')
+        assert read_header(path, ";") == ["a", "b", "quality"]
+        assert load_delimited(path, ";").feature_names == ["a", "b", "quality"]
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# only a note\n")
+        with pytest.raises(ContractViolation, match="no header row"):
+            read_header(empty)
 
 
 class TestMinMaxNormalize:

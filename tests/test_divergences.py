@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import copulashift.autodiff as ad
+import copulashift.divergences as dv
 from copulashift.divergences import (DivergenceKind, coral_penalty,
                                      coral_penalty_graph, gaussian_kernel,
                                      gaussian_kl_multivariate,
@@ -123,6 +125,63 @@ class TestWasserstein1:
         x = np.linspace(-1.0, 1.0, 50)
         np.testing.assert_allclose(wasserstein1_1d(x, x + 0.75), 0.75,
                                    rtol=1e-12)
+
+    # The unequal-size path reads numpy's method="linear" quantiles straight
+    # off the sorted sample; any change to numpy's interpolation fails here.
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6000), extra=st.integers(0, 6000),
+           draw=st.sampled_from(["normal", "ties", "constant", "signed zeros"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, extra=0, draw="normal", seed=0)
+    @example(n=1, extra=7, draw="signed zeros", seed=1)
+    @example(n=5, extra=0, draw="ties", seed=2)
+    @example(n=1599, extra=3299, draw="normal", seed=3)
+    def test_sorted_quantiles_equal_np_quantile(self, n, extra, draw, seed):
+        rng = np.random.default_rng(seed)
+        if draw == "normal":
+            s = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=n)
+        elif draw == "ties":
+            s = rng.integers(-3, 4, size=n) * 0.1
+        elif draw == "constant":
+            s = np.full(n, rng.normal())
+        else:
+            s = rng.choice([-0.0, 0.0, 1.0], size=n)
+        s = np.sort(s)
+        L = n + extra  # L = n when extra is 0
+        grid = np.arange(1, L + 1) / (L + 1.0)
+        assert np.array_equal(dv._sorted_quantiles(s, grid),
+                              np.quantile(s, grid, method="linear"))
+
+    def test_unequal_sizes_exact_against_np_quantile(self):
+        rng = np.random.default_rng(12)
+        x, y = rng.normal(size=1599), rng.lognormal(size=4898)
+        grid = np.arange(1, 4899) / 4899.0
+        oracle = np.mean(np.abs(np.quantile(x, grid) - np.quantile(y, grid)))
+        assert wasserstein1_1d(x, y) == float(oracle)
+
+
+class TestSampleColumn:
+    @pytest.mark.parametrize("estimator", [wasserstein1_1d, kl_histogram_1d,
+                                           mmd_squared])
+    def test_column_shapes_accepted(self, estimator):
+        x = np.array([0.0, 1.0, 3.0])
+        y = np.array([0.5, 2.0, 2.5, 4.0])
+        flat = estimator(x, y)
+        assert estimator(x[:, None], y[:, None]) == flat
+        assert estimator(x[None, :], y) == flat
+
+    @pytest.mark.parametrize("estimator", [wasserstein1_1d, kl_histogram_1d,
+                                           mmd_squared])
+    def test_matrix_rejected(self, estimator):
+        with pytest.raises(ShapeError, match=estimator.__name__):
+            estimator(np.ones((3, 2)), np.ones(4))
+        with pytest.raises(ShapeError):
+            estimator(np.ones(4), np.ones((2, 1, 2)))
+
+    @pytest.mark.parametrize("bad", [["a", "b"], [1.0, {"x": 1}], "oops"])
+    def test_non_numeric_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="numeric"):
+            wasserstein1_1d(bad, [1.0, 2.0])
 
 
 class TestKLHistogram:
