@@ -11,14 +11,14 @@ term. The public surface re-exported here covers the typical workflow:
 >>> params, trace = train(src, tgt.unlabeled(), TrainConfig(seed=0))
 
 Submodules hold the full API: ``datasets`` (loading, generation,
-normalization), ``divergences`` (marginal divergence estimators),
-``copula`` (dependence estimation and closed forms), ``models`` (the
-network), ``training`` (loop, metrics, grid search), ``experiments``
+normalization), ``divergences`` (marginal divergence estimators and the
+CORAL penalty), ``copula`` (the smoothed tau, the closed-form dependence
+divergences and the copula distance), ``models`` (the network),
+``training`` (loop, metrics, shift diagnostics), ``experiments``
 (benchmark protocols), ``autodiff`` (the graph engine) and ``cli``.
 """
 
-from .copula import (CopulaEstimate, DependenceKind, PairWeights,
-                     copula_distance, estimate_copula, kendall_tau_exact,
+from .copula import (DependenceKind, PairWeights, copula_distance,
                      kendall_tau_smooth, pair_dependence_divergence)
 from .datasets import (Dataset, MinMaxStats, MoonsConfig, generate_moons,
                        load_delimited, minmax_normalize, write_dataset)
@@ -30,25 +30,23 @@ from .experiments import (ExperimentError, ExperimentTable, MissingDataError,
                           run_wine_benchmark, run_wine_divergence_comparison,
                           write_table)
 from .models import LayerSpec, init_params, load_params, save_params
-from .training import (GridSearchError, MetricsReport, TrainConfig,
-                       evaluate_classification, evaluate_regression,
-                       grid_search, learned_shift, run_experiment,
+from .training import (MetricsReport, TrainConfig, evaluate_classification,
+                       evaluate_regression, learned_shift, run_experiment,
                        shift_report, train)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractViolation", "CopulaEstimate", "Dataset", "DependenceKind",
-    "DivergenceKind", "DomainError", "ExperimentError", "ExperimentTable",
-    "GridSearchError", "LayerSpec", "MetricsReport", "MinMaxStats",
-    "MissingDataError", "MoonsConfig", "PairWeights", "ShapeError",
-    "TrainConfig", "copula_distance", "estimate_copula",
+    "ContractViolation", "Dataset", "DependenceKind", "DivergenceKind",
+    "DomainError", "ExperimentError", "ExperimentTable", "LayerSpec",
+    "MetricsReport", "MinMaxStats", "MissingDataError", "MoonsConfig",
+    "PairWeights", "ShapeError", "TrainConfig", "copula_distance",
     "evaluate_classification", "evaluate_regression", "fetch_wine",
-    "generate_moons", "grid_search", "init_params", "kendall_tau_exact",
-    "kendall_tau_smooth", "learned_shift", "load_delimited", "load_params",
-    "load_wine", "marginal_divergence", "minmax_normalize", "moons_pair",
-    "pair_dependence_divergence", "render_markdown", "run_experiment",
-    "run_moons_benchmark", "run_wine_ablation", "run_wine_benchmark",
+    "generate_moons", "init_params", "kendall_tau_smooth", "learned_shift",
+    "load_delimited", "load_params", "load_wine", "marginal_divergence",
+    "minmax_normalize", "moons_pair", "pair_dependence_divergence",
+    "render_markdown", "run_experiment", "run_moons_benchmark",
+    "run_wine_ablation", "run_wine_benchmark",
     "run_wine_divergence_comparison", "save_params", "shift_report", "train",
     "write_dataset", "write_table",
 ]

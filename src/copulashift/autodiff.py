@@ -10,15 +10,14 @@ repeated runs are bit-identical.
 Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, sqrt'(0) = 0,
 and clamp passes gradient only strictly inside the interval.
 
-The elementwise helpers (``exp``, ``log``, ``sqrt``, ``tanh``, ``sin``,
-``absolute``, ``clamp``) dispatch on their argument, so a formula written
-with them works both on plain numpy values and inside the graph.
+Every op coerces a plain operand with ``constant``, so it always returns a
+Node; a caller that wants a plain number reads it back with ``item``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -222,21 +221,24 @@ def add_bias(x, b) -> Node:
 
 # -- elementwise nonlinearities ----------------------------------------------
 
-def _exp_node(a: Node) -> Node:
+def exp(a) -> Node:
+    a = constant(a)
     out = _seal(np.exp(a.value))
     if not np.all(np.isfinite(out)):
         raise DomainError("exp: overflow to non-finite value")
     return Node(out, "exp", (a,), lambda g: (g * out,))
 
 
-def _log_node(a: Node) -> Node:
+def log(a) -> Node:
+    a = constant(a)
     if np.any(a.value <= 0.0):
         raise DomainError("log: operand must be strictly positive")
     out = _seal(np.log(a.value))
     return Node(out, "log", (a,), lambda g: (g / a.value,))
 
 
-def _sqrt_node(a: Node) -> Node:
+def sqrt(a) -> Node:
+    a = constant(a)
     if np.any(a.value < 0.0):
         raise DomainError("sqrt: operand must be nonnegative")
     out = _seal(np.sqrt(a.value))
@@ -250,17 +252,20 @@ def _sqrt_node(a: Node) -> Node:
     return Node(out, "sqrt", (a,), back)
 
 
-def _tanh_node(a: Node) -> Node:
+def tanh(a) -> Node:
+    a = constant(a)
     out = _seal(np.tanh(a.value))
     return Node(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def _sin_node(a: Node) -> Node:
+def sin(a) -> Node:
+    a = constant(a)
     out = _seal(np.sin(a.value))
     return Node(out, "sin", (a,), lambda g: (g * np.cos(a.value),))
 
 
-def _abs_node(a: Node) -> Node:
+def absolute(a) -> Node:
+    a = constant(a)
     out = _seal(np.abs(a.value))
     return Node(out, "abs", (a,), lambda g: (g * np.sign(a.value),))
 
@@ -271,7 +276,12 @@ def relu(a) -> Node:
     return Node(out, "relu", (a,), lambda g: (g * (a.value > 0.0),))
 
 
-def _clamp_node(a: Node, lo, hi) -> Node:
+def clamp(a, lo=None, hi=None) -> Node:
+    if lo is None and hi is None:
+        raise ContractViolation("clamp: at least one bound is required")
+    if lo is not None and hi is not None and lo > hi:
+        raise ContractViolation(f"clamp: lo={lo} exceeds hi={hi}")
+    a = constant(a)
     out = _seal(np.clip(a.value, lo, hi))
     inside = np.ones_like(a.value, dtype=bool)
     if lo is not None:
@@ -279,40 +289,6 @@ def _clamp_node(a: Node, lo, hi) -> Node:
     if hi is not None:
         inside &= a.value < hi
     return Node(out, "clamp", (a,), lambda g: (g * inside,))
-
-
-def exp(x):
-    return _exp_node(x) if isinstance(x, Node) else np.exp(x)
-
-
-def log(x):
-    return _log_node(x) if isinstance(x, Node) else np.log(x)
-
-
-def sqrt(x):
-    return _sqrt_node(x) if isinstance(x, Node) else np.sqrt(x)
-
-
-def tanh(x):
-    return _tanh_node(x) if isinstance(x, Node) else np.tanh(x)
-
-
-def sin(x):
-    return _sin_node(x) if isinstance(x, Node) else np.sin(x)
-
-
-def absolute(x):
-    return _abs_node(x) if isinstance(x, Node) else np.abs(x)
-
-
-def clamp(x, lo=None, hi=None):
-    if lo is None and hi is None:
-        raise ContractViolation("clamp: at least one bound is required")
-    if lo is not None and hi is not None and lo > hi:
-        raise ContractViolation(f"clamp: lo={lo} exceeds hi={hi}")
-    if isinstance(x, Node):
-        return _clamp_node(x, lo, hi)
-    return np.clip(x, lo, hi)
 
 
 # -- reductions and structure --------------------------------------------------
@@ -333,15 +309,6 @@ def mean(a) -> Node:
     shape, size = a.shape, a.value.size
     return Node(out, "mean", (a,),
                 lambda g: (np.full(shape, g[0, 0] / size),))
-
-
-def sum_rows(a) -> Node:
-    """Column sums: (n, m) -> (1, m)."""
-    a = constant(a)
-    out = _seal(a.value.sum(axis=0, keepdims=True))
-    n = a.shape[0]
-    return Node(out, "sum_rows", (a,),
-                lambda g: (np.repeat(g, n, axis=0),))
 
 
 def mean_rows(a) -> Node:
@@ -480,60 +447,3 @@ def backward(out: Node) -> None:
             continue
         for parent, g in zip(node.parents, node._backward(node._grad)):
             parent._grad = g if parent._grad is None else parent._grad + g
-
-
-def finite_difference_check(loss_builder: Callable[..., Node],
-                            leaves: Sequence, step: float = 1e-6) -> float:
-    """Compare engine gradients with central finite differences.
-
-    Parameters
-    ----------
-    loss_builder : callable mapping fresh leaf Nodes (one per entry of
-        ``leaves``) to a scalar Node. It is re-invoked for every perturbed
-        evaluation, so it must be a pure function of its inputs.
-    leaves : the base values to differentiate at.
-    step : finite-difference step, must be positive.
-
-    Returns
-    -------
-    float, the maximum over all leaf entries of
-    ``|auto - central| / (|central| + 1e-12)``.
-    """
-    if not np.isfinite(step) or step <= 0.0:
-        raise ContractViolation(f"finite_difference_check: step must be positive, got {step}")
-    bases = [tensor(x) for x in leaves]
-    if not bases:
-        raise ContractViolation("finite_difference_check: at least one leaf is required")
-
-    inputs = [leaf(b) for b in bases]
-    out = loss_builder(*inputs)
-    if not isinstance(out, Node) or out.shape != (1, 1):
-        raise ContractViolation("finite_difference_check: loss_builder must return a scalar Node")
-    backward(out)
-    autos = [node.grad.copy() for node in inputs]
-
-    def eval_at(k, pos, delta):
-        probe = [b.copy() for b in bases]
-        probe[k][pos] += delta
-        val = loss_builder(*[leaf(p) for p in probe]).item()
-        if not np.isfinite(val):
-            raise DomainError(
-                f"finite_difference_check: loss non-finite at leaf {k} entry {pos}")
-        return val
-
-    worst = 0.0
-    for k, base in enumerate(bases):
-        for pos in np.ndindex(base.shape):
-            fp = eval_at(k, pos, step)
-            fm = eval_at(k, pos, -step)
-            central = (fp - fm) / (2.0 * step)
-            rel = abs(autos[k][pos] - central) / (abs(central) + 1e-12)
-            worst = max(worst, rel)
-    return worst
-
-
-def as_array(x) -> np.ndarray:
-    """Value of a Node, or the input coerced to float64 ndarray."""
-    if isinstance(x, Node):
-        return x.value
-    return np.asarray(x, dtype=np.float64)

@@ -7,16 +7,16 @@ feature matrices is the weighted sum over pairs of absolute differences in
 a closed-form dependence divergence driven entirely by the pair
 determinant |Sigma| = 1 - rho^2.
 
-Two tau estimators are provided: the O(N^2) sign statistic (test oracle)
-and the O(N) tanh-smoothed paired estimator used during training, which is
-differentiable through the graph engine. A Monte-Carlo integrator over the
-unit square serves as the independent oracle for the closed forms.
+Tau is the O(N) tanh-smoothed paired estimator, computed for all column
+pairs in one graph node, so the distance is differentiable end to end.
+The plain entry points (``kendall_tau_smooth``,
+``pair_dependence_divergence``, ``copula_distance``) evaluate the same
+graph and return its value.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -24,7 +24,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation, DomainError, ShapeError
+from .errors import ContractViolation, DomainError, ShapeError, is_int, is_real
 
 EPS_CLIP = 1e-6
 
@@ -80,7 +80,7 @@ def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_width(m) -> int:
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
+    if not is_int(m) or m < 2:
         raise ContractViolation(f"PairWeights: m must be an integer >= 2, got {m!r}")
     return int(m)
 
@@ -108,8 +108,7 @@ class PairWeights:
                 f"extra {sorted(got - expected)[:3]}")
         values = [self.weights[p] for p in pairs]
         # a value that is not a real number reads as NaN, so one check finds it
-        row = np.array([v if isinstance(v, numbers.Real) and not isinstance(v, bool)
-                        else np.nan for v in values], dtype=np.float64)
+        row = np.array([v if is_real(v) else np.nan for v in values], dtype=np.float64)
         bad = ~(np.isfinite(row) & (row >= 0.0))
         if bad.any():
             k = int(np.argmax(bad))
@@ -128,26 +127,6 @@ class PairWeights:
         return self._row
 
 
-@dataclass(frozen=True)
-class CopulaEstimate:
-    """Pairwise Gaussian-copula parameter matrix with per-pair determinants."""
-
-    sigma: np.ndarray
-    pair_determinants: dict
-
-    def __post_init__(self):
-        s = self.sigma
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ContractViolation("CopulaEstimate: sigma must be square")
-        if not np.array_equal(s, s.T):
-            raise ContractViolation("CopulaEstimate: sigma must be exactly symmetric")
-        if not np.all(np.diag(s) == 1.0):
-            raise ContractViolation("CopulaEstimate: sigma diagonal must be exactly 1")
-        off = s[~np.eye(s.shape[0], dtype=bool)]
-        if off.size and np.max(np.abs(off)) > 1.0 - EPS_CLIP:
-            raise ContractViolation("CopulaEstimate: off-diagonal entries exceed the clip bound")
-
-
 # -- Kendall's tau ------------------------------------------------------------
 
 def _as_pairs(pairs) -> np.ndarray:
@@ -157,24 +136,6 @@ def _as_pairs(pairs) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError("sample matrix contains non-finite values")
     return arr
-
-
-def kendall_tau_exact(pairs) -> float:
-    """Sign-based Kendall's tau over all sample pairs; O(N^2), test oracle."""
-    arr = _as_pairs(pairs)
-    n = arr.shape[0]
-    if n < 2:
-        raise ContractViolation(f"kendall_tau_exact: need N >= 2, got {n}")
-    x, y = arr[:, 0], arr[:, 1]
-    total = 0.0
-    chunk = 512
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        dx = x[sl, None] - x[None, :]
-        dy = y[sl, None] - y[None, :]
-        total += float(np.sum(np.sign(dx) * np.sign(dy)))
-    # the double loop counted each unordered pair twice and the zero diagonal
-    return total / (n * (n - 1))
 
 
 def kendall_tau_smooth(pairs, a: float) -> float:
@@ -191,9 +152,9 @@ def kendall_tau_smooth(pairs, a: float) -> float:
     return _smooth_taus(ad.constant(arr), _check_sharpness(a)).item()
 
 
-def _check_sharpness(a: float) -> float:
-    if not np.isfinite(a) or a <= 0:
-        raise ContractViolation(f"smoothing sharpness a must be positive, got {a}")
+def _check_sharpness(a) -> float:
+    if not is_real(a) or not np.isfinite(a) or a <= 0:
+        raise ContractViolation(f"smoothing sharpness a must be a positive number, got {a!r}")
     return float(a)
 
 
@@ -231,60 +192,26 @@ def _smooth_taus(f: ad.Node, a: float) -> ad.Node:
     return ad.Node(tau, "smooth_taus", (f,), back)
 
 
-def copula_param_from_tau(tau):
-    """Moment matching rho = sin(pi * tau / 2), clipped away from +-1.
+def copula_param_from_tau(tau: ad.Node) -> ad.Node:
+    """Moment matching rho = sin(pi * tau / 2) on a tau node, clipped away from +-1.
 
-    Accepts floats, arrays, or graph nodes; the plain path validates
-    |tau| <= 1 while the graph path relies on the estimator's range.
+    The smoothed estimator keeps |tau| <= 1, so the range is not re-checked.
     """
-    if not isinstance(tau, ad.Node):
-        t = np.asarray(tau, dtype=np.float64)
-        if np.any(np.abs(t) > 1.0):
-            raise ContractViolation("copula_param_from_tau: |tau| must be <= 1")
     return ad.clamp(ad.sin(tau * (np.pi / 2.0)), lo=-1.0 + EPS_CLIP, hi=1.0 - EPS_CLIP)
-
-
-def estimate_copula(samples, a: float | None = None) -> CopulaEstimate:
-    """Pairwise copula parameters of an (N, m) sample, smooth or exact tau.
-
-    ``a`` selects the tanh-smoothed O(N) estimator; ``None`` uses the exact
-    sign statistic. Odd N drops the final row on the smooth path.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
-        raise ContractViolation(
-            f"estimate_copula: need an N x m sample with N, m >= 2, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("estimate_copula: sample contains non-finite values")
-    m = arr.shape[1]
-    pair_list = _pairs(m)
-    if a is None:
-        taus = [kendall_tau_exact(arr[:, [i, j]]) for i, j in pair_list]
-    else:
-        taus = _smooth_taus(ad.constant(arr), _check_sharpness(a)).value.ravel()
-    sigma = np.eye(m)
-    dets = {}
-    for (i, j), tau in zip(pair_list, taus):
-        rho = float(copula_param_from_tau(tau))
-        sigma[i, j] = rho
-        sigma[j, i] = rho
-        dets[(i, j)] = 1.0 - rho * rho
-    return CopulaEstimate(sigma=sigma, pair_determinants=dets)
 
 
 # -- closed-form pairwise divergences ------------------------------------------
 
-def _divergence_from_det(det, tag: str):
-    """Closed-form H(P_12, P_1 P_2) as a function of |Sigma| = 1 - rho^2.
+def _divergence_from_det(det: ad.Node, tag: str) -> ad.Node:
+    """Closed-form H(P_12, P_1 P_2) of a node of determinants |Sigma| = 1 - rho^2.
 
-    Works on floats, arrays, and graph nodes via the dispatching helpers.
     W2 and MMD forms are squared distances; their square root is returned.
     ``tag`` is one of the closed-form tags DependenceKind admits.
     """
     if tag == "kl":
         return ad.log(det) * -0.5
     if tag == "chi2":
-        return 1.0 / det - 1.0 if not isinstance(det, ad.Node) else ad.div(1.0, det) - 1.0
+        return ad.div(1.0, det) - 1.0
     if tag == "w2":
         sq = 4.0 - 2.0 * ad.sqrt(2.0 + 2.0 * ad.sqrt(det))
         return ad.sqrt(ad.clamp(sq, lo=0.0))
@@ -296,98 +223,12 @@ def _divergence_from_det(det, tag: str):
 
 def pair_dependence_divergence(rho: float, kind: DependenceKind) -> float:
     """Closed-form dependence divergence of a Gaussian copula with parameter rho."""
-    if abs(rho) > 1.0 - EPS_CLIP:
+    if not is_real(rho) or not abs(rho) <= 1.0 - EPS_CLIP:
         raise ContractViolation(
-            f"pair_dependence_divergence: |rho| must be <= {1.0 - EPS_CLIP}, got {rho}")
+            f"pair_dependence_divergence: rho must be a number with |rho| <= {1.0 - EPS_CLIP}, "
+            f"got {rho!r}")
     det = 1.0 - rho * rho
-    return float(_divergence_from_det(det, kind.tag))
-
-
-# -- Monte-Carlo oracle ---------------------------------------------------------
-
-# Acklam rational approximation coefficients for the inverse standard
-# normal CDF (central region plus two tail branches).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
-_ACKLAM_SPLIT = 0.02425
-
-
-def inverse_normal_cdf(p):
-    """Inverse standard normal CDF via Acklam's rational approximation."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise DomainError("inverse_normal_cdf: p must lie strictly in (0, 1)")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    out = np.empty_like(p)
-
-    low = p < _ACKLAM_SPLIT
-    high = p > 1.0 - _ACKLAM_SPLIT
-    mid = ~(low | high)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out[mid] = num * q / den
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        out[low] = num / den
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        out[high] = -num / den
-    return out if out.ndim else float(out)
-
-
-def gaussian_copula_density(u1, u2, rho: float):
-    """Bivariate Gaussian copula density c(u1, u2) at parameter rho."""
-    if abs(rho) > 1.0 - EPS_CLIP:
-        raise ContractViolation(f"gaussian_copula_density: |rho| too close to 1: {rho}")
-    x1 = inverse_normal_cdf(u1)
-    x2 = inverse_normal_cdf(u2)
-    det = 1.0 - rho * rho
-    quad = (rho * rho * (x1 * x1 + x2 * x2) - 2.0 * rho * x1 * x2) / (2.0 * det)
-    return np.exp(-quad) / np.sqrt(det)
-
-
-def _phi(tag: str):
-    if tag == "kl":
-        return lambda c: c * np.log(c)
-    if tag == "chi2":
-        return lambda c: c * c - 1.0
-    raise ContractViolation(
-        f"pair_dependence_divergence_mc: kind {tag!r} is not a phi-divergence")
-
-
-def pair_dependence_divergence_mc(rho: float, kind: DependenceKind, seed: int,
-                                  mc_samples: int = 1_000_000) -> tuple[float, float]:
-    """Monte-Carlo estimate of the dependence divergence, with standard error.
-
-    Integrates phi(c(u1, u2)) over the unit square by uniform sampling;
-    the independent oracle for the closed forms.
-    """
-    if int(mc_samples) < 10_000:
-        raise ContractViolation("pair_dependence_divergence_mc: mc_samples must be >= 10^4")
-    phi = _phi(kind.tag)
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(mc_samples, 2))
-    vals = phi(gaussian_copula_density(u[:, 0], u[:, 1], rho))
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(mc_samples))
-    return mean, se
+    return _divergence_from_det(ad.constant(det), kind.tag).item()
 
 
 # -- the Eq. 2 aggregate ---------------------------------------------------------
@@ -432,59 +273,3 @@ def copula_distance(fs, ft, beta: PairWeights, kind: DependenceKind,
         raise ContractViolation("copula_distance: inputs must be 2-D sample matrices")
     node = copula_distance_graph(ad.constant(fs), ad.constant(ft), beta, kind, a)
     return node.item()
-
-
-def cd_kl_gradient_analytic(fs, ft, beta: PairWeights, a: float = 100.0) -> np.ndarray:
-    """Hand-derived gradient of the KL copula distance w.r.t. the fs entries.
-
-    Chain: CD = sum beta_ij |h_s - h_t| with h = -log(1 - rho^2)/2,
-    rho = clip(sin(pi tau / 2)), tau the tanh-paired estimator. Matches the
-    graph engine's subgradient conventions (0 at the |.| kink, 0 where the
-    clip is active, final odd row ignored). Verification-only.
-    """
-    a = _check_sharpness(a)
-    fs = np.asarray(fs, dtype=np.float64)
-    ft = np.asarray(ft, dtype=np.float64)
-    if fs.ndim != 2 or ft.ndim != 2 or fs.shape[1] != ft.shape[1]:
-        raise ShapeError("cd_kl_gradient_analytic", fs.shape, ft.shape)
-    m = fs.shape[1]
-    if beta.m != m:
-        raise ContractViolation("cd_kl_gradient_analytic: weight dimension mismatch")
-
-    def stats(f):
-        n2 = f.shape[0] - (f.shape[0] % 2)
-        d = f[0:n2:2] - f[1:n2:2]
-        out = {}
-        for i, j in _pairs(m):
-            t = np.tanh(a * d[:, i] * d[:, j])
-            tau = float(np.mean(t))
-            rho_raw = np.sin(np.pi * tau / 2.0)
-            rho = float(np.clip(rho_raw, -1.0 + EPS_CLIP, 1.0 - EPS_CLIP))
-            h = -0.5 * np.log(1.0 - rho * rho)
-            out[(i, j)] = (d, t, tau, rho_raw, rho, h)
-        return out
-
-    s_stats = stats(fs)
-    t_stats = stats(ft)
-    grad = np.zeros_like(fs)
-    n2 = fs.shape[0] - (fs.shape[0] % 2)
-    k = n2 // 2
-    for (i, j), (d, t, tau, rho_raw, rho, h_s) in s_stats.items():
-        h_t = t_stats[(i, j)][5]
-        sgn = np.sign(h_s - h_t)
-        if sgn == 0.0:
-            continue
-        clipped = abs(rho_raw) >= 1.0 - EPS_CLIP
-        if clipped:
-            continue
-        dh_drho = rho / (1.0 - rho * rho)
-        drho_dtau = (np.pi / 2.0) * np.cos(np.pi * tau / 2.0)
-        coef = beta.weights[(i, j)] * sgn * dh_drho * drho_dtau / k
-        dt = a * (1.0 - t * t)
-        gi = coef * dt * d[:, j]
-        gj = coef * dt * d[:, i]
-        grad[0:n2:2, i] += gi
-        grad[1:n2:2, i] -= gi
-        grad[0:n2:2, j] += gj
-        grad[1:n2:2, j] -= gj
-    return grad

@@ -12,11 +12,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation, DomainError, is_int, is_real
 
 _DOMAINS = ("source", "target")
 
@@ -75,12 +76,17 @@ class MoonsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n_per_class) < 1:
-            raise ContractViolation("MoonsConfig: n_per_class must be positive")
-        if self.stretch < 1.0:
-            raise ContractViolation(f"MoonsConfig: stretch must be >= 1, got {self.stretch}")
-        if self.noise_sigma < 0.0:
-            raise ContractViolation("MoonsConfig: noise_sigma must be nonnegative")
+        if not is_int(self.n_per_class) or self.n_per_class < 1:
+            raise ContractViolation(
+                f"MoonsConfig: n_per_class must be a positive integer, got {self.n_per_class!r}")
+        for name, low in (("stretch", 1.0), ("noise_sigma", 0.0)):
+            value = getattr(self, name)
+            if not is_real(value) or not math.isfinite(value) or value < low:
+                raise ContractViolation(
+                    f"MoonsConfig: {name} must be a finite number >= {low}, got {value!r}")
+        if not is_int(self.seed) or self.seed < 0:
+            raise ContractViolation(
+                f"MoonsConfig: seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "n_per_class", int(self.n_per_class))
 
 
@@ -106,6 +112,10 @@ def generate_moons(config: MoonsConfig, domain: str = "source") -> Dataset:
                    feature_names=["x", "y"], label_name="label")
 
 
+def _is_content(line: str) -> bool:
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
 def _content_rows(path, delimiter: str):
     """csv rows of a UTF-8 file's lines that are neither blank nor '#' comments."""
     try:
@@ -114,12 +124,27 @@ def _content_rows(path, delimiter: str):
         raise ContractViolation(f"load_delimited: bad delimiter {delimiter!r}: {err}") from None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = (ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#"))
-            yield from csv.reader(lines, delimiter=delimiter)
+            yield from csv.reader(filter(_is_content, fh), delimiter=delimiter)
     except UnicodeDecodeError as err:
         raise ContractViolation(f"load_delimited: {path} is not UTF-8 text: {err}") from None
     except csv.Error as err:
         raise ContractViolation(f"load_delimited: {path}: {err}") from None
+
+
+def _row_lines(path, delimiter: str) -> list[int]:
+    """The 1-based file line each row of ``_content_rows`` starts on, header first.
+
+    Only error messages need these, so the file is read a second time rather
+    than slowing every load with per-row bookkeeping.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        kept = [(number, line) for number, line in enumerate(fh, start=1) if _is_content(line)]
+    reader = csv.reader((line for _, line in kept), delimiter=delimiter)
+    starts, start = [], 0
+    for _ in reader:  # a quoted cell may span lines
+        starts.append(kept[start][0])
+        start = reader.line_num
+    return starts
 
 
 def _header(rows, path) -> list[str]:
@@ -141,8 +166,8 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
 
     The file must be UTF-8 and the delimiter one character. Blank and '#'
     lines are skipped. Every cell must parse as a real number (what
-    ``float()`` accepts); failures report the 1-based row and the column
-    name. The designated label column, when given, is separated out
+    ``float()`` accepts); failures report the 1-based file line and the
+    column name. The designated label column, when given, is separated out
     (integer dtype when all values are integral).
     """
     rows = _content_rows(path, delimiter)
@@ -151,15 +176,16 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
     if label_column is not None and label_column not in header:
         raise ContractViolation(
             f"load_delimited: label column {label_column!r} not in header {header}")
-    for r, row in enumerate(body, start=2):
+    for r, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise ContractViolation(
-                f"load_delimited: row {r} has {len(row)} cells, header has {len(header)}")
+                f"load_delimited: line {_row_lines(path, delimiter)[r]} has {len(row)} cells, "
+                f"header has {len(header)}")
     try:
         # numpy's str -> float64 cast accepts and rejects what float() does
         data = np.array(body, dtype=np.float64).reshape(len(body), len(header))
     except ValueError:
-        _raise_first_bad_cell(body, header)
+        _raise_first_bad_cell(body, header, _row_lines(path, delimiter))
         raise
     if label_column is None:
         return Dataset(data, None, domain=domain, feature_names=header)
@@ -173,15 +199,18 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
                    feature_names=names, label_name=label_column)
 
 
-def _raise_first_bad_cell(body, header) -> None:
-    """Name the first cell, in row-major order, that float() rejects."""
-    for r, row in enumerate(body, start=2):
+def _raise_first_bad_cell(body, header, lines) -> None:
+    """Name the first cell, in row-major order, that float() rejects.
+
+    ``lines`` are the file lines of the header and the body rows.
+    """
+    for r, row in enumerate(body, start=1):
         for c, cell in enumerate(row):
             try:
                 float(cell)
             except ValueError:
                 raise ContractViolation(
-                    f"load_delimited: row {r}, column {header[c]!r}: "
+                    f"load_delimited: line {lines[r]}, column {header[c]!r}: "
                     f"cannot parse {cell!r} as a number") from None
 
 

@@ -3,23 +3,19 @@
 Three estimators cover the marginal-shift term of the training objective
 and the shift diagnostics: a Gaussian-kernel MMD V-statistic summed over a
 small bandwidth set, the 1-D Wasserstein-1 distance, and a smoothed
-histogram KL divergence. The MMD additionally has a graph form so it can
-be differentiated through by the trainer; the plain function evaluates the
-same graph and returns its value.
-
-Analytic KL divergences between Gaussians are included as references for
-the population-level shift tables.
+histogram KL divergence. The MMD is built on the graph so the trainer can
+differentiate through it; the plain function evaluates the same graph and
+returns its value. The CORAL covariance-alignment penalty is graph-only.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation, DomainError, ShapeError
+from .errors import ContractViolation, DomainError, ShapeError, is_int, is_real
 
 _VALID_KINDS = ("mmd", "w1", "kl")
 
@@ -45,7 +41,7 @@ class DivergenceKind:
             if self.kind != "mmd":
                 raise ContractViolation("DivergenceKind: bandwidths apply to 'mmd' only")
             bw = tuple(self.bandwidths) if isinstance(self.bandwidths, (tuple, list)) else ()
-            if not bw or not all(_is_real(b) and np.isfinite(b) and b > 0.0 for b in bw):
+            if not bw or not all(is_real(b) and np.isfinite(b) and b > 0.0 for b in bw):
                 raise ContractViolation(
                     f"DivergenceKind: bandwidths must be a list of positive numbers, "
                     f"got {self.bandwidths!r}")
@@ -65,12 +61,8 @@ class DivergenceKind:
         return cls("kl", bins=bins)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_bins(where: str, bins) -> int:
-    if not isinstance(bins, numbers.Integral) or isinstance(bins, bool) or bins < 2:
+    if not is_int(bins) or bins < 2:
         raise ContractViolation(f"{where}: bins must be an integer >= 2, got {bins!r}")
     return int(bins)
 
@@ -89,14 +81,6 @@ def _column(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name}: sample contains non-finite values")
     return arr
-
-
-def gaussian_kernel(x, y, bandwidth: float):
-    """k(x, y) = exp(-(x - y)^2 / bandwidth), elementwise."""
-    if not np.isfinite(bandwidth) or bandwidth <= 0.0:
-        raise DomainError(f"gaussian_kernel: bandwidth must be positive, got {bandwidth}")
-    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return np.exp(-(d * d) / bandwidth)
 
 
 def _triu_indices(n: int):
@@ -239,9 +223,9 @@ def _smooth(counts: np.ndarray) -> np.ndarray:
 def coral_penalty_graph(fs: ad.Node, ft: ad.Node) -> ad.Node:
     """||Cov(fs) - Cov(ft)||_F^2 / (4 m^2) on the graph (ddof-1 covariance)."""
     if fs.shape[1] != ft.shape[1]:
-        raise ShapeError("coral_penalty", fs.shape, ft.shape)
+        raise ShapeError("coral_penalty_graph", fs.shape, ft.shape)
     if fs.shape[0] < 2 or ft.shape[0] < 2:
-        raise ContractViolation("coral_penalty: needs at least 2 rows per domain")
+        raise ContractViolation("coral_penalty_graph: needs at least 2 rows per domain")
     m = fs.shape[1]
 
     def cov(f):
@@ -251,17 +235,6 @@ def coral_penalty_graph(fs: ad.Node, ft: ad.Node) -> ad.Node:
 
     diff = cov(fs) - cov(ft)
     return ad.total(diff * diff) * (1.0 / (4.0 * m * m))
-
-
-def coral_penalty(fs, ft) -> float:
-    """Plain CORAL penalty between two (n, m) feature matrices."""
-
-    def as_matrix(f):
-        arr = np.asarray(f, dtype=np.float64)
-        return ad.tensor(arr.reshape(-1, 1) if arr.ndim == 1 else arr)
-
-    return coral_penalty_graph(ad.constant(as_matrix(fs)),
-                               ad.constant(as_matrix(ft))).item()
 
 
 def marginal_divergence(x, y, kind: DivergenceKind) -> float:
@@ -275,33 +248,3 @@ def marginal_divergence(x, y, kind: DivergenceKind) -> float:
     if kind.kind == "w1":
         return wasserstein1_1d(x, y)
     return kl_histogram_1d(x, y, kind.bins)
-
-
-# -- analytic Gaussian references ------------------------------------------------
-
-def gaussian_kl_univariate(mean0, var0, mean1, var1) -> float:
-    """KL(N(mean0, var0) || N(mean1, var1))."""
-    if var0 <= 0.0 or var1 <= 0.0:
-        raise DomainError("gaussian_kl_univariate: variances must be positive")
-    return float(0.5 * (var0 / var1 + (mean1 - mean0) ** 2 / var1 - 1.0
-                        + np.log(var1 / var0)))
-
-
-def gaussian_kl_multivariate(mean0, cov0, mean1, cov1) -> float:
-    """KL(N(mean0, cov0) || N(mean1, cov1)) for full-rank covariances."""
-    mean0 = np.asarray(mean0, dtype=np.float64).ravel()
-    mean1 = np.asarray(mean1, dtype=np.float64).ravel()
-    cov0 = np.atleast_2d(np.asarray(cov0, dtype=np.float64))
-    cov1 = np.atleast_2d(np.asarray(cov1, dtype=np.float64))
-    k = mean0.size
-    if mean1.size != k or cov0.shape != (k, k) or cov1.shape != (k, k):
-        raise ShapeError("gaussian_kl_multivariate", cov0.shape, cov1.shape)
-    sign0, logdet0 = np.linalg.slogdet(cov0)
-    sign1, logdet1 = np.linalg.slogdet(cov1)
-    if sign0 <= 0 or sign1 <= 0:
-        raise DomainError("gaussian_kl_multivariate: covariances must be positive definite")
-    inv1 = np.linalg.inv(cov1)
-    delta = mean1 - mean0
-    val = 0.5 * (np.trace(inv1 @ cov0) + delta @ inv1 @ delta - k
-                 + logdet1 - logdet0)
-    return float(val)

@@ -1,9 +1,11 @@
-"""Shared exception types.
+"""Shared exception types and the number rules every boundary check uses.
 
 Every precondition failure in the package raises one of these, so callers
 can distinguish "you called it wrong" (ContractViolation and subclasses)
 from genuine runtime faults.
 """
+
+import numbers
 
 
 class ContractViolation(ValueError):
@@ -26,3 +28,14 @@ class ShapeError(ContractViolation):
 
 class DomainError(ContractViolation):
     """A value lies outside the mathematical domain of an operation."""
+
+
+# bool is an Integral, but True read as 1 is never what a caller meant
+def is_int(value) -> bool:
+    """A Python or numpy integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A Python or numpy real number (integers included) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

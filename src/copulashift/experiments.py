@@ -89,7 +89,7 @@ def moons_pair(stretch: float, seed: int,
     """
     src = generate_moons(MoonsConfig(n_per_class, 1.0, MOONS_NOISE,
                                      MOONS_SOURCE_SEED + seed), domain="source")
-    tgt = generate_moons(MoonsConfig(n_per_class, float(stretch), MOONS_NOISE,
+    tgt = generate_moons(MoonsConfig(n_per_class, stretch, MOONS_NOISE,
                                      MOONS_TARGET_SEED + seed), domain="target")
     return src, tgt
 

@@ -11,21 +11,16 @@ differentiable end to end.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation, ShapeError
+from .errors import ContractViolation, ShapeError, is_int
 
 _CHECKPOINT_FORMAT = "copulashift-params-v1"
 
 _ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,7 @@ class LayerSpec:
 
     def __post_init__(self):
         hidden = tuple(self.hidden) if isinstance(self.hidden, (tuple, list)) else ()
-        if not hidden or not all(_is_int(h) and h >= 1 for h in hidden):
+        if not hidden or not all(is_int(h) and h >= 1 for h in hidden):
             raise ContractViolation(
                 f"LayerSpec: hidden must be a list of positive integer widths, "
                 f"got {self.hidden!r}")
@@ -51,7 +46,7 @@ class LayerSpec:
         if self.task not in ("classification", "regression"):
             raise ContractViolation(f"LayerSpec: unknown task {self.task!r}")
         if self.task == "classification":
-            if not _is_int(self.n_classes) or self.n_classes < 2:
+            if not is_int(self.n_classes) or self.n_classes < 2:
                 raise ContractViolation(
                     f"LayerSpec: classification needs an integer n_classes >= 2, "
                     f"got {self.n_classes!r}")
@@ -113,8 +108,9 @@ class ModelParams:
 
 def init_params(spec: LayerSpec, input_dim: int, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, fully determined by the seed."""
-    if int(input_dim) < 1:
-        raise ContractViolation(f"init_params: input_dim must be >= 1, got {input_dim}")
+    if not is_int(input_dim) or input_dim < 1:
+        raise ContractViolation(
+            f"init_params: input_dim must be an integer >= 1, got {input_dim!r}")
     rng = np.random.default_rng(seed)
     widths = [int(input_dim), *spec.hidden, spec.output_dim]
 

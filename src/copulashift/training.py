@@ -1,5 +1,5 @@
 """End-to-end training: the shift-regularized objective, baselines,
-evaluation metrics, hyperparameter grid search, and shift diagnostics.
+evaluation metrics, and shift diagnostics.
 
 Each epoch walks even-sized shuffled source batches paired with
 equally-sized target batches, builds the full loss graph (supervised term
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass, field, replace, asdict
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import autodiff as ad
 from . import divergences as dv
 from . import copula as cop
 from .datasets import Dataset, batch_iterator, MinMaxStats
-from .errors import ContractViolation
+from .errors import ContractViolation, is_int, is_real
 from .models import (LayerSpec, ModelParams, init_params, extract_features,
                      cross_entropy_loss, mse_loss, predict_proba,
                      predict_regression)
@@ -114,13 +113,13 @@ class TrainConfig:
             raise ContractViolation(f"TrainConfig: method must be one of {_METHODS}")
         for name in ("max_epochs", "early_stop_patience", "batch_size", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_int(value):
                 raise ContractViolation(
                     f"TrainConfig: {name} must be an integer, got {value!r}")
         for name in ("alpha", "beta", "lambda_", "learning_rate", "tanh_a",
                      "holdout_fraction"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not is_real(value) or not math.isfinite(value):
                 raise ContractViolation(
                     f"TrainConfig: {name} must be a finite number, got {value!r}")
         for name in ("alpha", "beta", "lambda_"):
@@ -259,11 +258,11 @@ def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node
 
 
 def _batch_loss(params, xs, ys, xt, config: TrainConfig,
-                weights: cop.PairWeights | None = None):
+                weights: cop.PairWeights | None):
     """Build the full loss graph for one batch; returns scalars for the trace.
 
-    ``weights`` are the copula pair weights; ``train`` builds them once per
-    run, and ``None`` builds them here.
+    ``weights`` are the copula pair weights ``train`` builds once per run;
+    they are ``None`` exactly when the copula term is off.
     """
     view, nodes = _node_view(params)
     f_s = extract_features(ad.constant(xs), view)
@@ -282,8 +281,6 @@ def _batch_loss(params, xs, ys, xt, config: TrainConfig,
         if config.alpha > 0:
             md = _marginal_term(f_s, f_t, config.h1) * config.alpha
         if config.beta > 0:
-            if weights is None:
-                weights = cop.PairWeights.uniform(params.feature_dim, config.beta)
             cd = cop.copula_distance_graph(f_s, f_t, weights, config.h2, config.tanh_a)
     loss = sup
     if md is not None:
@@ -459,7 +456,7 @@ def evaluate_regression(params: ModelParams, ds: Dataset,
     return RegressionMetrics(rmse=rmse, r2=r2, re=re)
 
 
-# -- reporting, diagnostics, grid search ------------------------------------------
+# -- reporting and diagnostics --------------------------------------------------
 
 @dataclass
 class MetricsReport:
@@ -543,46 +540,6 @@ def run_experiment(task: str, source: Dataset, target: Dataset,
     return MetricsReport(task=task, method=config.method, config=config.to_dict(),
                          per_seed=per_seed, aggregate=aggregate_metrics(per_seed),
                          trace=first_trace or [])
-
-
-class GridSearchError(RuntimeError):
-    """A grid point failed; carries completed reports and failure notes."""
-
-    def __init__(self, message, partial, failures):
-        super().__init__(message)
-        self.partial = partial
-        self.failures = failures
-
-
-def grid_search(source: Dataset, target: Dataset, base: TrainConfig,
-                alphas, betas, seeds, stats: MinMaxStats | None = None,
-                eval_target: Dataset | None = None) -> list[MetricsReport]:
-    """Cartesian (alpha, beta) sweep, sorted by mean source-holdout loss.
-
-    Target labels are never consulted; the ordering metric is the best
-    validation loss each run achieved. Failures abort the sweep with a
-    GridSearchError carrying the completed portion.
-    """
-    alphas, betas, seeds = list(alphas), list(betas), list(seeds)
-    if not alphas or not betas or not seeds:
-        raise ContractViolation("grid_search: alpha/beta grids and seeds must be nonempty")
-    reports, failures = [], []
-    for a in alphas:
-        for b in betas:
-            try:
-                cfg = replace(base, alpha=float(a), beta=float(b))
-                rep = run_experiment(f"grid(alpha={a}, beta={b})", source, target,
-                                     cfg, seeds, stats=stats, eval_target=eval_target)
-                rep.config["grid_point"] = {"alpha": float(a), "beta": float(b)}
-                reports.append(rep)
-            except Exception as exc:
-                failures.append({"alpha": float(a), "beta": float(b),
-                                 "error": f"{type(exc).__name__}: {exc}"})
-    reports.sort(key=lambda r: r.aggregate["val"]["mean"])
-    if failures:
-        raise GridSearchError(
-            f"grid_search: {len(failures)} grid point(s) failed", reports, failures)
-    return reports
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import copulashift.autodiff as ad
 import copulashift.copula as cop
-from copulashift.copula import (CopulaEstimate, DependenceKind, PairWeights,
-                                cd_kl_gradient_analytic, copula_distance,
+from copulashift.copula import (DependenceKind, PairWeights, copula_distance,
                                 copula_distance_graph, copula_param_from_tau,
-                                estimate_copula, gaussian_copula_density,
-                                inverse_normal_cdf, kendall_tau_exact,
                                 kendall_tau_smooth, _smooth_taus,
-                                pair_dependence_divergence,
-                                pair_dependence_divergence_mc)
+                                pair_dependence_divergence)
 from copulashift.errors import ContractViolation, DomainError
-from oracles import smooth_taus_composite
+from oracles import (cd_kl_gradient_analytic, finite_difference_check,
+                     gaussian_copula_density, inverse_normal_cdf,
+                     kendall_tau_exact, pair_dependence_divergence_mc,
+                     smooth_taus_composite)
 
 
 def correlated_sample(rho: float, n: int, seed: int) -> np.ndarray:
@@ -65,6 +64,23 @@ class TestKendallTau:
         with pytest.raises(ContractViolation):
             kendall_tau_smooth(np.zeros((4, 2)), a=0.0)
 
+    def test_all_pairs_node_matches_per_pair_tau(self):
+        # one pass over all pairs == kendall_tau_smooth on each column pair
+        sample = np.random.default_rng(4).normal(size=(301, 5))
+        sample[:, 3] += 0.6 * sample[:, 0]
+        taus = _smooth_taus(ad.constant(sample), 50.0).value.ravel()
+        for tau, (i, j) in zip(taus, cop._pairs(5)):
+            assert tau == kendall_tau_smooth(sample[:300, [i, j]], a=50.0)
+
+    def test_smooth_rejects_nonfinite_input(self):
+        sample = np.ones((8, 2))
+        sample[2, 1] = np.nan
+        with pytest.raises(DomainError):
+            kendall_tau_smooth(sample, a=10.0)
+        with pytest.raises(DomainError):
+            copula_distance(sample, np.ones((8, 2)), PairWeights.uniform(2),
+                            DependenceKind.kl(), 10.0)
+
     def test_smooth_graph_backpropagates(self):
         rng = np.random.default_rng(11)
         x = ad.leaf(np.hstack([rng.normal(size=(10, 1)), rng.normal(size=(10, 1))]))
@@ -73,70 +89,20 @@ class TestKendallTau:
         assert np.any(x.grad[:, 0] != 0.0)
 
 
+def rho_of(tau: float) -> float:
+    return copula_param_from_tau(ad.constant(tau)).item()
+
+
 class TestCopulaParam:
     def test_sin_mapping_hand_values(self):
-        np.testing.assert_allclose(float(copula_param_from_tau(1.0 / 3.0)),
-                                   0.5, rtol=1e-12)
-        assert float(copula_param_from_tau(0.0)) == 0.0
+        np.testing.assert_allclose(rho_of(1.0 / 3.0), 0.5, rtol=1e-12)
+        assert rho_of(0.0) == 0.0
 
     def test_clip_keeps_rho_inside_open_interval(self):
-        hi = float(copula_param_from_tau(1.0))
-        lo = float(copula_param_from_tau(-1.0))
+        hi = rho_of(1.0)
+        lo = rho_of(-1.0)
         assert hi == 1.0 - 1e-6
         assert lo == -1.0 + 1e-6
-
-    def test_rejects_tau_outside_range(self):
-        with pytest.raises(ContractViolation):
-            copula_param_from_tau(1.5)
-
-
-class TestEstimateCopula:
-    def test_recovers_known_correlation(self):
-        rho = 0.7
-        sample = correlated_sample(rho, 6000, seed=5)
-        est = estimate_copula(sample)
-        assert abs(est.sigma[0, 1] - rho) < 0.02
-        np.testing.assert_allclose(est.pair_determinants[(0, 1)],
-                                   1.0 - est.sigma[0, 1] ** 2, rtol=1e-12)
-
-    def test_smooth_route_close_to_exact(self):
-        sample = correlated_sample(0.5, 4000, seed=8)
-        exact = estimate_copula(sample)
-        smooth = estimate_copula(sample, a=1000.0)
-        assert abs(exact.sigma[0, 1] - smooth.sigma[0, 1]) < 0.03
-
-    def test_independent_columns_near_zero(self):
-        sample = correlated_sample(0.0, 6000, seed=13)
-        est = estimate_copula(sample)
-        assert abs(est.sigma[0, 1]) < 0.03
-
-    def test_sigma_is_valid(self):
-        est = estimate_copula(correlated_sample(0.3, 1000, seed=2))
-        np.testing.assert_array_equal(np.diag(est.sigma), 1.0)
-        np.testing.assert_array_equal(est.sigma, est.sigma.T)
-
-    def test_rejects_univariate_input(self):
-        with pytest.raises(ContractViolation):
-            estimate_copula(np.zeros((10, 1)))
-
-    def test_smooth_route_matches_per_pair_tau(self):
-        # one pass over all pairs == kendall_tau_smooth on each column pair
-        sample = np.random.default_rng(4).normal(size=(301, 5))
-        sample[:, 3] += 0.6 * sample[:, 0]
-        est = estimate_copula(sample, a=50.0)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                tau = kendall_tau_smooth(sample[:300, [i, j]], a=50.0)
-                np.testing.assert_allclose(est.sigma[i, j],
-                                           float(copula_param_from_tau(tau)),
-                                           rtol=1e-12, atol=1e-15)
-
-    def test_rejects_nonfinite_input(self):
-        sample = np.ones((8, 3))
-        sample[2, 1] = np.nan
-        for a in (None, 10.0):
-            with pytest.raises(DomainError):
-                estimate_copula(sample, a=a)
 
 
 class TestInverseNormalCdf:
@@ -249,6 +215,12 @@ class TestPairDependenceDivergence:
     def test_rejects_rho_at_one(self):
         with pytest.raises(ContractViolation):
             pair_dependence_divergence(1.0, DependenceKind.kl())
+
+    @pytest.mark.parametrize("rho", ["x", None, True, float("nan"), [0.5]])
+    def test_malformed_rho_is_named(self, rho):
+        # "x" and None used to raise TypeError and NaN returned NaN
+        with pytest.raises(ContractViolation, match="rho must be a number"):
+            pair_dependence_divergence(rho, DependenceKind.kl())
 
 
 class TestDependenceKindValidation:
@@ -363,6 +335,15 @@ class TestCopulaDistance:
             copula_distance(np.zeros((10, 2)), np.zeros((10, 3)),
                             PairWeights.uniform(2), DependenceKind.kl(), 100.0)
 
+    @pytest.mark.parametrize("a", ["x", None, [1.0], True, 0.0, -1.0, float("nan")])
+    def test_malformed_sharpness_is_named(self, a):
+        # "x", None and [1.0] used to raise TypeError; True was read as 1.0
+        f = self._features(10, n=8)
+        with pytest.raises(ContractViolation, match="sharpness a"):
+            copula_distance(f, f, PairWeights.uniform(2), DependenceKind.kl(), a)
+        with pytest.raises(ContractViolation, match="sharpness a"):
+            kendall_tau_smooth(f, a)
+
 
 class TestAnalyticGradient:
     def test_matches_autodiff_away_from_kinks(self):
@@ -453,7 +434,7 @@ class TestFusedSmoothTaus:
         rng = np.random.default_rng(31)
         x = rng.normal(size=(9, 4))
         g = ad.constant(rng.normal(size=(1, 6)))
-        err = ad.finite_difference_check(
+        err = finite_difference_check(
             lambda f: ad.total(_smooth_taus(f, 0.7) * g), [x])
         assert err < 1e-6
 

@@ -80,6 +80,25 @@ class TestGenerateMoons:
         with pytest.raises(ContractViolation):
             MoonsConfig(stretch=0.5)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n_per_class", 2.7), ("n_per_class", True), ("n_per_class", "abc"),
+        ("n_per_class", float("nan")), ("n_per_class", 0),
+        ("stretch", "x"), ("stretch", None), ("stretch", True),
+        ("stretch", float("nan")), ("stretch", float("inf")),
+        ("noise_sigma", "x"), ("noise_sigma", float("nan")), ("noise_sigma", -0.1),
+        ("seed", 1.5), ("seed", "0"), ("seed", -1),
+    ])
+    def test_malformed_field_is_named(self, field, bad):
+        # 2.7 used to become 2, True 1; "abc" and NaN raised a bare
+        # ValueError, and "x" or None for stretch a TypeError
+        with pytest.raises(ContractViolation, match=f"MoonsConfig: {field}"):
+            MoonsConfig(**{field: bad})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = MoonsConfig(n_per_class=np.int64(3), stretch=np.float64(2.0), seed=np.int32(1))
+        assert cfg.n_per_class == 3 and type(cfg.n_per_class) is int
+        assert len(generate_moons(cfg)) == 6
+
 
 class TestDelimitedRoundTrip:
     def test_write_then_load_is_exact(self, tmp_path):
@@ -105,7 +124,7 @@ class TestDelimitedRoundTrip:
     def test_bad_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n3.0,oops\n")
-        with pytest.raises(ContractViolation, match=r"row 3.*'b'"):
+        with pytest.raises(ContractViolation, match=r"line 3.*'b'"):
             load_delimited(path)
 
     def test_missing_label_column(self, tmp_path):
@@ -117,7 +136,7 @@ class TestDelimitedRoundTrip:
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("a,b\n1,2\n3\n")
-        with pytest.raises(ContractViolation, match="row 3"):
+        with pytest.raises(ContractViolation, match="line 3"):
             load_delimited(path)
 
     def test_comment_lines_skipped(self, tmp_path):
@@ -131,13 +150,27 @@ class TestDelimitedRoundTrip:
         path.write_text("# note\na,b,c\n1,2,3\n4,5,6\n7,8,9x\n")
         with pytest.raises(ContractViolation) as info:
             load_delimited(path)
-        assert str(info.value) == ("load_delimited: row 4, column 'c': "
+        assert str(info.value) == ("load_delimited: line 5, column 'c': "
                                    "cannot parse '9x' as a number")
+
+    def test_errors_name_the_file_line_past_comments_and_blanks(self, tmp_path):
+        path = tmp_path / "lines.csv"
+        body = '# {"generator": "moons"}\na,b\n\n1,2\n# note\n\n3,CELL\n'
+        path.write_text(body.replace("CELL", "4x"))
+        with pytest.raises(ContractViolation, match=r"line 7, column 'b': cannot parse '4x'"):
+            load_delimited(path)
+        path.write_text(body.replace("CELL", "4,5"))
+        with pytest.raises(ContractViolation, match="line 7 has 3 cells"):
+            load_delimited(path)
+        # a quoted cell spanning lines is named by the line it starts on
+        path.write_text('a,b\n\n1,"2\n3"\n')
+        with pytest.raises(ContractViolation, match="line 3, column 'b'"):
+            load_delimited(path)
 
     def test_first_bad_cell_in_row_major_order_is_named(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("a,b\n1,\n,2\n")
-        with pytest.raises(ContractViolation, match=r"row 2, column 'b': cannot parse ''"):
+        with pytest.raises(ContractViolation, match=r"line 2, column 'b': cannot parse ''"):
             load_delimited(path)
 
     def test_header_only_file_loads_empty(self, tmp_path):

@@ -52,6 +52,17 @@ class TestProtocolConfigs:
         np.testing.assert_array_equal(a_tgt.features, b_tgt.features)
         assert not np.array_equal(a_src.features, c_src.features)
 
+    @pytest.mark.parametrize("stretch", ["x", None, True])
+    def test_moons_pair_names_a_bad_stretch(self, stretch):
+        # "x" raised a bare ValueError, None a TypeError, and True read as 1.0
+        with pytest.raises(ContractViolation, match="stretch"):
+            ex.moons_pair(stretch, seed=0, n_per_class=5)
+
+    def test_integer_stretch_draws_as_float(self):
+        _, a = ex.moons_pair(3, seed=0, n_per_class=20)
+        _, b = ex.moons_pair(3.0, seed=0, n_per_class=20)
+        assert a.features.tobytes() == b.features.tobytes()
+
     def test_target_stretch_widens_x(self):
         # stretch scales the clean arcs before the (unscaled) noise is
         # added, so the x spread grows almost exactly with the ratio.

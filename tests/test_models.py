@@ -65,6 +65,12 @@ class TestInitParams:
         np.testing.assert_array_equal(params.extractor[0][1], 0.0)
         np.testing.assert_array_equal(params.head[1], 0.0)
 
+    @pytest.mark.parametrize("input_dim", [2.7, True, "abc", None, 0])
+    def test_malformed_input_dim_is_named(self, input_dim):
+        # 2.7 used to become 2 and True 1; "abc" raised a bare ValueError
+        with pytest.raises(ContractViolation, match="input_dim"):
+            init_params(LayerSpec(hidden=(4,)), input_dim, seed=0)
+
 
 class TestForward:
     def test_feature_shape(self):

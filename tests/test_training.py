@@ -9,12 +9,11 @@ from copulashift.datasets import (Dataset, MinMaxStats, MoonsConfig,
                                   generate_moons)
 from copulashift.errors import ContractViolation
 from copulashift.models import LayerSpec, extract_features, init_params
-from copulashift.training import (GridSearchError, TrainConfig,
-                                  _auc_mann_whitney, _batch_loss,
+from copulashift.training import (TrainConfig, _auc_mann_whitney, _batch_loss,
                                   _marginal_term, _node_view,
                                   _supervised_loss, aggregate_metrics,
                                   evaluate_classification, evaluate_regression,
-                                  grid_search, learned_shift, run_experiment,
+                                  learned_shift, run_experiment,
                                   shift_report, train)
 import copulashift.autodiff as ad
 
@@ -87,6 +86,14 @@ class TestTrainConfig:
                 TrainConfig.from_dict(data)
         with pytest.raises(ContractViolation, match="bins"):
             dv.DivergenceKind(kind="kl", bins=2.7)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "lambda_", "learning_rate",
+                                      "tanh_a", "holdout_fraction", "max_epochs",
+                                      "early_stop_patience", "batch_size", "seed"])
+    def test_bool_is_not_a_number(self, name):
+        # True used to pass the real-number fields as 1
+        with pytest.raises(ContractViolation, match=name):
+            TrainConfig(**{name: True})
 
     def test_copula_method_needs_two_features(self):
         narrow = LayerSpec(hidden=(8, 1), task="classification", n_classes=2)
@@ -253,7 +260,8 @@ class TestTrainLoop:
         xt = rng.normal(size=(32, 2))
         cfg = quick_config("cdan", alpha=0.4, beta=0.3)
         params = init_params(cfg.model, 2, seed=4)
-        loss, _, (md, cd) = _batch_loss(params, xs, ys, xt, cfg)
+        weights = cop.PairWeights.uniform(params.feature_dim, cfg.beta)
+        loss, _, (md, cd) = _batch_loss(params, xs, ys, xt, cfg, weights)
         view, _ = _node_view(params)
         sup = _supervised_loss(extract_features(ad.constant(xs), view), ys, view)
         assert abs(loss.item() - (sup.item() + md + cd)) <= 1e-12
@@ -433,41 +441,6 @@ class TestRunExperiment:
                 rep = run_experiment("shift", source, target, cfg, seeds=[s])
                 cds[method].append(rep.per_seed[0]["cd"])
         assert np.mean(cds["cdan"]) < np.mean(cds["mlp"])
-
-
-class TestGridSearch:
-    def test_sorted_by_validation_loss(self):
-        source, target = moons_domains(60)
-        base = quick_config(seed=0, early_stop_patience=3, holdout_fraction=0.2)
-        reports = grid_search(source, target, base,  # one-shot iterators work too
-                              alphas=iter([0.0, 0.02]), betas=[0.0, 0.05], seeds=[0])
-        assert len(reports) == 4
-        vals = [r.aggregate["val"]["mean"] for r in reports]
-        assert vals == sorted(vals)
-        points = {(r.config["grid_point"]["alpha"], r.config["grid_point"]["beta"])
-                  for r in reports}
-        assert points == {(0.0, 0.0), (0.0, 0.05), (0.02, 0.0), (0.02, 0.05)}
-
-    def test_failures_carry_partial_results(self):
-        source, target = moons_domains(40)
-        base = quick_config(seed=0)
-        with pytest.raises(GridSearchError) as info:
-            grid_search(source, target, base,
-                        alphas=[0.02, -1.0], betas=[0.05], seeds=[0])
-        err = info.value
-        assert len(err.partial) == 1
-        assert len(err.failures) == 1
-        assert err.failures[0]["alpha"] == -1.0
-        assert "ContractViolation" in err.failures[0]["error"]
-
-    def test_empty_grid_rejected(self):
-        source, target = moons_domains(20)
-        with pytest.raises(ContractViolation, match="nonempty"):
-            grid_search(source, target, quick_config(), alphas=[], betas=[1.0],
-                        seeds=[0])
-        with pytest.raises(ContractViolation, match="seeds"):
-            grid_search(source, target, quick_config(), alphas=[0.0], betas=[1.0],
-                        seeds=[])
 
 
 class TestShiftReport:
