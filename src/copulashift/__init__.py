@@ -18,8 +18,8 @@ divergences and the copula distance), ``models`` (the network),
 (benchmark protocols), ``autodiff`` (the graph engine) and ``cli``.
 """
 
-from .copula import (DependenceKind, PairWeights, copula_distance,
-                     kendall_tau_smooth, pair_dependence_divergence)
+from .copula import (DependenceKind, copula_distance, kendall_tau_smooth,
+                     pair_dependence_divergence)
 from .datasets import (Dataset, MinMaxStats, MoonsConfig, generate_moons,
                        load_delimited, minmax_normalize, write_dataset)
 from .divergences import DivergenceKind, marginal_divergence
@@ -40,7 +40,7 @@ __all__ = [
     "ContractViolation", "Dataset", "DependenceKind", "DivergenceKind",
     "DomainError", "ExperimentError", "ExperimentTable", "LayerSpec",
     "MetricsReport", "MinMaxStats", "MissingDataError", "MoonsConfig",
-    "PairWeights", "ShapeError", "TrainConfig", "copula_distance",
+    "ShapeError", "TrainConfig", "copula_distance",
     "evaluate_classification", "evaluate_regression", "fetch_wine",
     "generate_moons", "init_params", "kendall_tau_smooth", "learned_shift",
     "load_delimited", "load_params", "load_wine", "marginal_divergence",

@@ -25,13 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import copula as cop
 from . import experiments as ex
+from .copula import H2_TAGS
 from .datasets import (Dataset, MinMaxStats, MoonsConfig, generate_moons,
                        load_delimited, read_header, write_dataset)
+from .divergences import H1_TAGS
 from .errors import ContractViolation
 from .models import load_params, save_params
-from .training import (TrainConfig, evaluate_classification,
+from .training import (METHODS, TrainConfig, evaluate_classification,
                        evaluate_regression, shift_report, train)
 
 EXIT_OK = 0
@@ -182,16 +183,12 @@ def cmd_shift_report(args) -> int:
     a = _load_maybe_labeled(args.a, args.delimiter, args.label_column, "source")
     b = _load_maybe_labeled(args.b, args.delimiter, args.label_column, "target")
     config = _resolve_config(args)
-    weights = None
-    if args.beta is not None and a.dim >= 2:
-        weights = cop.PairWeights.uniform(a.dim, args.beta)
-    rep = shift_report(a, b, config.h1, config.h2, beta=weights,
-                       tanh_a=config.tanh_a)
+    beta = 1.0 if args.beta is None else args.beta
+    rep = shift_report(a, b, config.h1, config.h2, beta=beta, tanh_a=config.tanh_a)
     doc = {**rep.to_dict(),
            "a": str(args.a), "b": str(args.b),
            "h1": config.h1.kind, "h2": config.h2.tag,
-           "tanh_a": config.tanh_a,
-           "beta": 1.0 if args.beta is None else args.beta}
+           "tanh_a": config.tanh_a, "beta": beta}
     print(json.dumps(doc, indent=2, sort_keys=True))
 
     buf = io.StringIO()
@@ -272,14 +269,11 @@ def _add_config_flags(sp) -> None:
     sp.add_argument("--lr", type=float, help="Adam learning rate")
     sp.add_argument("--epochs", type=int, help="maximum epochs")
     sp.add_argument("--batch", type=int, help="batch size")
-    sp.add_argument("--h1", choices=["mmd", "w1", "kl"],
-                    help="marginal divergence")
-    sp.add_argument("--h2", choices=["kl", "chi2", "w2", "mmd"],
-                    help="copula-pair divergence")
+    sp.add_argument("--h1", choices=H1_TAGS, help="marginal divergence")
+    sp.add_argument("--h2", choices=H2_TAGS, help="copula-pair divergence")
     sp.add_argument("--tanh-a", dest="tanh_a", type=float,
                     help="rank-correlation smoothing sharpness")
-    sp.add_argument("--method", choices=["mlp", "dan", "coral", "cdan"],
-                    help="training objective")
+    sp.add_argument("--method", choices=METHODS, help="training objective")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,8 +3,8 @@
 The pairwise dependence of a feature matrix is summarized by a Gaussian
 copula parameter rho per column pair, estimated through Kendall's tau via
 the moment identity rho = sin(pi*tau/2). The copula distance between two
-feature matrices is the weighted sum over pairs of absolute differences in
-a closed-form dependence divergence driven entirely by the pair
+feature matrices is beta times the sum over pairs of absolute differences
+in a closed-form dependence divergence driven entirely by the pair
 determinant |Sigma| = 1 - rho^2.
 
 Tau is the O(N) tanh-smoothed paired estimator, computed for all column
@@ -16,115 +16,33 @@ graph and return its value.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation, DomainError, ShapeError, is_int, is_real
+from .divergences import _pair_index
+from .errors import ContractViolation, DomainError, ShapeError, is_finite_real, is_real
 
 EPS_CLIP = 1e-6
 
-_CLOSED_FORM_TAGS = ("kl", "chi2", "w2", "mmd")
+H2_TAGS = ("kl", "chi2", "w2", "mmd")
 
 
 @dataclass(frozen=True)
 class DependenceKind:
-    """Closed-form divergence used for pairwise dependence comparison.
+    """Closed-form divergence (H2) used for pairwise dependence comparison.
 
-    Tags: ``kl``, ``chi2``, ``w2``, ``mmd`` (unit-bandwidth Gaussian kernel).
+    ``tag`` is one of ``H2_TAGS``: ``kl``, ``chi2``, ``w2``, ``mmd``
+    (unit-bandwidth Gaussian kernel).
     """
 
     tag: str
 
     def __post_init__(self):
-        if self.tag not in _CLOSED_FORM_TAGS:
-            raise ContractViolation(f"DependenceKind: unknown tag {self.tag!r}")
-
-    @classmethod
-    def kl(cls):
-        return cls("kl")
-
-    @classmethod
-    def chi2(cls):
-        return cls("chi2")
-
-    @classmethod
-    def wasserstein2(cls):
-        return cls("w2")
-
-    @classmethod
-    def mmd_unit(cls):
-        return cls("mmd")
-
-
-# The pair tables are cached, and every caller shares the cached object, so
-# they are a tuple and read-only arrays. A run uses one or two widths; the
-# bound keeps a process that sees many wide inputs from holding them all.
-@functools.lru_cache(maxsize=8)
-def _pairs(m: int) -> tuple[tuple[int, int], ...]:
-    """Feature pairs (i < j) of an m-dim representation in ascending order."""
-    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
-
-
-@functools.lru_cache(maxsize=8)
-def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first and second columns of ``_pairs(m)`` as read-only intp arrays."""
-    first, second = np.triu_indices(m, k=1)  # row-major, the order of _pairs
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
-
-
-def _check_width(m) -> int:
-    if not is_int(m) or m < 2:
-        raise ContractViolation(f"PairWeights: m must be an integer >= 2, got {m!r}")
-    return int(m)
-
-
-@dataclass(frozen=True)
-class PairWeights:
-    """Nonnegative weight per feature pair (i < j); frozen once validated."""
-
-    m: int
-    weights: Mapping = field(default_factory=dict)
-    _row: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _check_width(self.m))
-        if not isinstance(self.weights, Mapping):
+        if self.tag not in H2_TAGS:
             raise ContractViolation(
-                f"PairWeights: weights must be a mapping, got {type(self.weights).__name__}")
-        pairs = _pairs(self.m)
-        expected = set(pairs)
-        got = set(self.weights)
-        if got != expected:
-            raise ContractViolation(
-                f"PairWeights: keys must cover exactly the {len(expected)} pairs "
-                f"of m={self.m}; missing {sorted(expected - got)[:3]}, "
-                f"extra {sorted(got - expected)[:3]}")
-        values = [self.weights[p] for p in pairs]
-        # a value that is not a real number reads as NaN, so one check finds it
-        row = np.array([v if is_real(v) else np.nan for v in values], dtype=np.float64)
-        bad = ~(np.isfinite(row) & (row >= 0.0))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ContractViolation(f"PairWeights: weight for {pairs[k]} must be a finite "
-                                    f"number >= 0, got {values[k]!r}")
-        object.__setattr__(self, "weights", MappingProxyType(dict(zip(pairs, row.tolist()))))
-        object.__setattr__(self, "_row", ad.tensor(row[None, :]))
-
-    @classmethod
-    def uniform(cls, m: int, value: float = 1.0):
-        m = _check_width(m)
-        return cls(m, dict.fromkeys(_pairs(m), value))
-
-    def as_row(self) -> np.ndarray:
-        """Weights in ascending (i, j) order as a read-only (1, P) array."""
-        return self._row
+                f"DependenceKind: h2 must be one of {H2_TAGS}, got {self.tag!r}")
 
 
 # -- Kendall's tau ------------------------------------------------------------
@@ -153,7 +71,7 @@ def kendall_tau_smooth(pairs, a: float) -> float:
 
 
 def _check_sharpness(a) -> float:
-    if not is_real(a) or not np.isfinite(a) or a <= 0:
+    if not is_finite_real(a) or a <= 0:
         raise ContractViolation(f"smoothing sharpness a must be a positive number, got {a!r}")
     return float(a)
 
@@ -233,23 +151,25 @@ def pair_dependence_divergence(rho: float, kind: DependenceKind) -> float:
 
 # -- the Eq. 2 aggregate ---------------------------------------------------------
 
-def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: PairWeights,
+def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: float,
                           kind: DependenceKind, a: float) -> ad.Node:
     """Copula distance between two (N, m) feature nodes, differentiable.
 
     Per pair (i < j) and per domain: smoothed tau over consecutive row
     pairs -> rho = sin(pi tau/2) -> closed-form divergence; the aggregate
-    is sum_{i<j} beta_ij |H_s - H_t|. Odd row counts drop the final row.
+    is beta * sum_{i<j} |H_s - H_t|, one weight for every pair. Odd row
+    counts drop the final row.
     """
+    if not is_finite_real(beta) or beta < 0:
+        raise ContractViolation(
+            f"copula_distance: beta must be a finite number >= 0, got {beta!r}")
+    beta = float(beta)
     a = _check_sharpness(a)
     if fs.shape[1] != ft.shape[1]:
         raise ShapeError("copula_distance", fs.shape, ft.shape)
     m = fs.shape[1]
     if m < 2:
         raise ContractViolation(f"copula_distance: m must be >= 2, got {m}")
-    if beta.m != m:
-        raise ContractViolation(
-            f"copula_distance: weights are for m={beta.m}, features have m={m}")
     n = min(fs.shape[0], ft.shape[0])
     if n < 2:
         raise ContractViolation(f"copula_distance: needs >= 2 rows, got {n}")
@@ -260,11 +180,10 @@ def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: PairWeights,
         return _divergence_from_det(det, kind.tag)
 
     gap = ad.absolute(pair_divergences(fs) - pair_divergences(ft))
-    # the row was validated and frozen when the weights were built
-    return ad.total(gap * ad.Node(beta.as_row(), "constant"))
+    return ad.total(gap * beta)
 
 
-def copula_distance(fs, ft, beta: PairWeights, kind: DependenceKind,
+def copula_distance(fs, ft, beta: float, kind: DependenceKind,
                     a: float = 100.0) -> float:
     """Plain copula distance between two (N, m) sample matrices."""
     fs = np.asarray(fs, dtype=np.float64)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, is_int, is_real
+from .errors import ContractViolation, DomainError, is_finite_real, is_int
 
 _DOMAINS = ("source", "target")
 
@@ -81,7 +80,7 @@ class MoonsConfig:
                 f"MoonsConfig: n_per_class must be a positive integer, got {self.n_per_class!r}")
         for name, low in (("stretch", 1.0), ("noise_sigma", 0.0)):
             value = getattr(self, name)
-            if not is_real(value) or not math.isfinite(value) or value < low:
+            if not is_finite_real(value) or value < low:
                 raise ContractViolation(
                     f"MoonsConfig: {name} must be a finite number >= {low}, got {value!r}")
         if not is_int(self.seed) or self.seed < 0:

@@ -5,6 +5,7 @@ can distinguish "you called it wrong" (ContractViolation and subclasses)
 from genuine runtime faults.
 """
 
+import math
 import numbers
 
 
@@ -39,3 +40,15 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """A Python or numpy real number (integers included) that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A real number (see ``is_real``) that converts to a finite float.
+
+    An integer too large for a float (``10**400``) is not one: it would
+    overflow the first time it meets float arithmetic.
+    """
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False

@@ -26,14 +26,14 @@ import urllib.request
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
+from .copula import H2_TAGS
 from .datasets import (Dataset, MoonsConfig, generate_moons, load_delimited,
                        minmax_normalize)
+from .divergences import H1_TAGS
 from .errors import ContractViolation
 from .models import LayerSpec
-from .training import (TrainConfig, evaluate_classification, run_experiment,
-                       train)
+from .training import (TrainConfig, evaluate_classification, mean_std,
+                       run_experiment, train)
 
 # --- frozen protocol constants -------------------------------------------
 
@@ -55,11 +55,8 @@ DEFAULT_WINE_SEEDS = 20
 # (alpha, beta) grid for the ablation table.
 ABLATION_GRID = ((0.0, 0.0), (0.0, 0.1), (0.0, 1.0), (0.0, 10.0),
                  (0.1, 0.0), (1.0, 0.0), (10.0, 0.0), (1.0, 1.0))
-# H1 x H2 grid for the divergence-comparison table.
-H1_CHOICES = ("mmd", "w1", "kl")
-H2_CHOICES = ("kl", "chi2", "w2", "mmd")
-COMPARISON_GRID = tuple((h1, h2) for h1 in ("mmd", "w1", "kl")
-                        for h2 in ("kl", "chi2", "w2"))
+# H1 x H2 grid for the divergence-comparison table (every H2 but mmd).
+COMPARISON_GRID = tuple((h1, h2) for h1 in H1_TAGS for h2 in H2_TAGS if h2 != "mmd")
 # The MMD rows of the comparison grid cost ~30x the others, so the
 # comparison table defaults to fewer seeds than the headline tables.
 DEFAULT_COMPARISON_SEEDS = 3
@@ -153,12 +150,6 @@ def render_markdown(table: ExperimentTable, digits: int | None = None) -> str:
     return "\n".join(lines)
 
 
-def _agg(values) -> dict:
-    arr = np.asarray(values, dtype=np.float64)
-    return {"mean": float(arr.mean()),
-            "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0}
-
-
 def _finish(name, columns, rows, meta, reports, failures) -> ExperimentTable:
     """Assemble a table; raise ExperimentError (with the partial) on failures."""
     if failures:
@@ -199,7 +190,7 @@ def run_moons_benchmark(methods=("mlp", "coral", "dan", "cdan"),
                     if progress is not None:
                         progress(f"moons {method} stretch={stretch:g} seed={s} "
                                  f"acc={acc:.2f}")
-                cells[col] = _agg(accs)
+                cells[col] = mean_std(accs)
                 per_seed[col] = accs
         except Exception as exc:  # record-and-continue: one bad row keeps its siblings
             failures.append({"row": label, "error": f"{type(exc).__name__}: {exc}"})

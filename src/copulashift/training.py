@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, replace, asdict
 
 import numpy as np
 
@@ -23,22 +23,14 @@ from . import autodiff as ad
 from . import divergences as dv
 from . import copula as cop
 from .datasets import Dataset, batch_iterator, MinMaxStats
-from .errors import ContractViolation, is_int, is_real
+from .errors import ContractViolation, is_finite_real, is_int
 from .models import (LayerSpec, ModelParams, init_params, extract_features,
                      cross_entropy_loss, mse_loss, predict_proba,
                      predict_regression)
 
-_METHODS = ("mlp", "dan", "coral", "cdan")
+METHODS = ("mlp", "dan", "coral", "cdan")
 
 _MOONS_SPEC = LayerSpec(hidden=(8, 4), task="classification", n_classes=2)
-
-_H1_TAGS = {"mmd": dv.DivergenceKind.mmd,
-            "w1": dv.DivergenceKind.wasserstein1,
-            "kl": dv.DivergenceKind.kl_histogram}
-_H2_TAGS = {"kl": cop.DependenceKind.kl,
-            "chi2": cop.DependenceKind.chi2,
-            "w2": cop.DependenceKind.wasserstein2,
-            "mmd": cop.DependenceKind.mmd_unit}
 
 
 def _nested_dict(name: str, value, required: str, alternative: str) -> dict:
@@ -55,9 +47,7 @@ def _h1_from(value) -> dv.DivergenceKind:
     if isinstance(value, dv.DivergenceKind):
         return value
     if isinstance(value, str):
-        if value not in _H1_TAGS:
-            raise ContractViolation(f"h1 must be one of {sorted(_H1_TAGS)}, got {value!r}")
-        return _H1_TAGS[value]()
+        value = {"kind": value}
     value = _nested_dict("h1", value, "kind", "a tag string")
     return dv.DivergenceKind(kind=value["kind"], bandwidths=value.get("bandwidths"),
                              bins=value.get("bins", 32))
@@ -67,9 +57,7 @@ def _h2_from(value) -> cop.DependenceKind:
     if isinstance(value, cop.DependenceKind):
         return value
     if isinstance(value, str):
-        if value not in _H2_TAGS:
-            raise ContractViolation(f"h2 must be one of {sorted(_H2_TAGS)}, got {value!r}")
-        return _H2_TAGS[value]()
+        return cop.DependenceKind(value)
     # older dicts also carry "alpha" (always null) and "mc_samples": ignored
     return cop.DependenceKind(tag=_nested_dict("h2", value, "tag", "a tag string")["tag"])
 
@@ -102,15 +90,15 @@ class TrainConfig:
     early_stop_patience: int = 20
     batch_size: int = 1024
     seed: int = 0
-    h1: dv.DivergenceKind = field(default_factory=dv.DivergenceKind.wasserstein1)
-    h2: cop.DependenceKind = field(default_factory=cop.DependenceKind.kl)
+    h1: dv.DivergenceKind = dv.DivergenceKind("w1")
+    h2: cop.DependenceKind = cop.DependenceKind("kl")
     tanh_a: float = 100.0
     model: LayerSpec = _MOONS_SPEC
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ContractViolation(f"TrainConfig: method must be one of {_METHODS}")
+        if self.method not in METHODS:
+            raise ContractViolation(f"TrainConfig: method must be one of {METHODS}")
         for name in ("max_epochs", "early_stop_patience", "batch_size", "seed"):
             value = getattr(self, name)
             if not is_int(value):
@@ -119,7 +107,7 @@ class TrainConfig:
         for name in ("alpha", "beta", "lambda_", "learning_rate", "tanh_a",
                      "holdout_fraction"):
             value = getattr(self, name)
-            if not is_real(value) or not math.isfinite(value):
+            if not is_finite_real(value):
                 raise ContractViolation(
                     f"TrainConfig: {name} must be a finite number, got {value!r}")
         for name in ("alpha", "beta", "lambda_"):
@@ -257,13 +245,8 @@ def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node
     return total
 
 
-def _batch_loss(params, xs, ys, xt, config: TrainConfig,
-                weights: cop.PairWeights | None):
-    """Build the full loss graph for one batch; returns scalars for the trace.
-
-    ``weights`` are the copula pair weights ``train`` builds once per run;
-    they are ``None`` exactly when the copula term is off.
-    """
+def _batch_loss(params, xs, ys, xt, config: TrainConfig):
+    """Build the full loss graph for one batch; returns scalars for the trace."""
     view, nodes = _node_view(params)
     f_s = extract_features(ad.constant(xs), view)
     sup = _supervised_loss(f_s, ys, view)
@@ -281,7 +264,7 @@ def _batch_loss(params, xs, ys, xt, config: TrainConfig,
         if config.alpha > 0:
             md = _marginal_term(f_s, f_t, config.h1) * config.alpha
         if config.beta > 0:
-            cd = cop.copula_distance_graph(f_s, f_t, weights, config.h2, config.tanh_a)
+            cd = cop.copula_distance_graph(f_s, f_t, config.beta, config.h2, config.tanh_a)
     loss = sup
     if md is not None:
         loss = loss + md
@@ -337,9 +320,6 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
     best_val = math.inf
     best_params = None
     patience_left = config.early_stop_patience
-    weights = None  # copula pair weights, built once per run
-    if config.method == "cdan" and config.beta > 0:
-        weights = cop.PairWeights.uniform(params.feature_dim, config.beta)
 
     for epoch in range(1, config.max_epochs + 1):
         batches = list(batch_iterator(train_ds, config.batch_size,
@@ -359,7 +339,7 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
             cursor += len(idx)
             loss, nodes, (md_v, cd_v) = _batch_loss(
                 params, train_ds.features[idx], train_ds.labels[idx],
-                target.features[t_idx], config, weights)
+                target.features[t_idx], config)
             if not np.isfinite(loss.value[0, 0]):
                 raise FloatingPointError(
                     f"train: non-finite loss at epoch {epoch}, batch {k}")
@@ -473,36 +453,45 @@ class MetricsReport:
                 "trace": self.trace}
 
 
+def mean_std(values) -> dict:
+    """Mean and ddof-1 standard deviation (0 for a single value) of numbers."""
+    arr = np.asarray(values, dtype=np.float64)
+    return {"mean": float(arr.mean()),
+            "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0}
+
+
 def aggregate_metrics(per_seed: list[dict]) -> dict:
     """Mean and standard deviation of every numeric per-seed field."""
     agg = {}
     for key in per_seed[0]:
         vals = [p[key] for p in per_seed if isinstance(p[key], (int, float))]
-        if len(vals) != len(per_seed):
-            continue
-        arr = np.array(vals, dtype=np.float64)
-        agg[key] = {"mean": float(arr.mean()),
-                    "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0}
+        if len(vals) == len(per_seed):
+            agg[key] = mean_std(vals)
     return agg
+
+
+def _md_and_cd(fs, ft, h1: dv.DivergenceKind, h2: cop.DependenceKind,
+               beta: float, tanh_a: float) -> tuple[list, float | None]:
+    """MD of each column of two (N, m) samples, and their CD when m >= 2."""
+    md = [float(dv.marginal_divergence(fs[:, i], ft[:, i], h1))
+          for i in range(fs.shape[1])]
+    cd = None
+    if fs.shape[1] >= 2:
+        cd = cop.copula_distance(fs, ft, beta, h2, tanh_a)
+    return md, cd
 
 
 def learned_shift(params: ModelParams, source: Dataset, target: Dataset,
                   config: TrainConfig) -> tuple[float, float]:
-    """Unweighted MD and CD of the learned features on the full domains.
+    """Summed MD and unit-beta CD of the learned features on the full domains.
 
-    Uses H1/H2 from the config with unit weights so the numbers are
-    comparable across methods regardless of alpha/beta.
+    Uses H1/H2 from the config with beta = 1 so the numbers are comparable
+    across methods regardless of alpha/beta.
     """
-    fs = extract_features(source.features, params).value
-    ft = extract_features(target.features, params).value
-    md = sum(dv.marginal_divergence(fs[:, i], ft[:, i], config.h1)
-             for i in range(fs.shape[1]))
-    cd = 0.0
-    if fs.shape[1] >= 2:
-        cd = cop.copula_distance(fs, ft,
-                                 cop.PairWeights.uniform(fs.shape[1], 1.0),
-                                 config.h2, config.tanh_a)
-    return float(md), float(cd)
+    md, cd = _md_and_cd(extract_features(source.features, params).value,
+                        extract_features(target.features, params).value,
+                        config.h1, config.h2, 1.0, config.tanh_a)
+    return float(sum(md)), 0.0 if cd is None else cd
 
 
 def run_experiment(task: str, source: Dataset, target: Dataset,
@@ -554,16 +543,13 @@ class ShiftReport:
 
 
 def shift_report(a: Dataset, b: Dataset, h1: dv.DivergenceKind,
-                 h2: cop.DependenceKind, beta: cop.PairWeights | None = None,
+                 h2: cop.DependenceKind, beta: float = 1.0,
                  tanh_a: float = 100.0) -> ShiftReport:
-    """Per-feature marginal divergences and the copula distance of raw data."""
+    """Per-feature marginal divergences and the copula distance of raw data.
+
+    ``beta`` scales every copula pair alike.
+    """
     if a.dim != b.dim:
         raise ContractViolation(f"shift_report: dimension mismatch {a.dim} vs {b.dim}")
-    md = [float(dv.marginal_divergence(a.features[:, i], b.features[:, i], h1))
-          for i in range(a.dim)]
-    cd = None
-    if a.dim >= 2:
-        if beta is None:
-            beta = cop.PairWeights.uniform(a.dim, 1.0)
-        cd = cop.copula_distance(a.features, b.features, beta, h2, tanh_a)
+    md, cd = _md_and_cd(a.features, b.features, h1, h2, beta, tanh_a)
     return ShiftReport(md_per_feature=md, cd=cd, feature_names=list(a.feature_names))

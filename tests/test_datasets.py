@@ -85,6 +85,7 @@ class TestGenerateMoons:
         ("n_per_class", float("nan")), ("n_per_class", 0),
         ("stretch", "x"), ("stretch", None), ("stretch", True),
         ("stretch", float("nan")), ("stretch", float("inf")),
+        pytest.param("stretch", 10 ** 400, id="stretch-10**400"),
         ("noise_sigma", "x"), ("noise_sigma", float("nan")), ("noise_sigma", -0.1),
         ("seed", 1.5), ("seed", "0"), ("seed", -1),
     ])

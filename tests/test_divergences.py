@@ -83,6 +83,20 @@ class TestMMDSquared:
             lambda a, b: mmd_squared_graph(a, b, bandwidths=(0.8, 2.5)), [x, y])
         assert err < 1e-5
 
+    def test_pair_tables_are_one_bounded_read_only_cache(self):
+        # a process that sees many sample sizes must not keep a table for each
+        import copulashift.copula as cop
+        assert cop._pair_index is dv._pair_index
+        dv._pair_index.cache_clear()
+        rng = np.random.default_rng(5)
+        for n in range(3, 15):
+            mmd_squared(rng.normal(size=n), rng.normal(size=n))
+        info = dv._pair_index.cache_info()
+        assert info.misses == 12 and info.hits == 12  # each size serves both blocks
+        assert info.currsize == info.maxsize == 8
+        first, second = dv._pair_index(14)
+        assert not first.flags.writeable and not second.flags.writeable
+
     def test_graph_rejects_mismatched_widths(self):
         with pytest.raises(ShapeError):
             mmd_squared_graph(ad.constant(np.zeros((4, 2))), ad.constant(np.zeros((4, 3))))
@@ -278,14 +292,14 @@ class TestMarginalDivergence:
         x = rng.normal(size=64)
         y = rng.normal(0.5, size=64)
         np.testing.assert_allclose(
-            marginal_divergence(x, y, DivergenceKind.wasserstein1()),
+            marginal_divergence(x, y, DivergenceKind("w1")),
             wasserstein1_1d(x, y))
         np.testing.assert_allclose(
-            marginal_divergence(x, y, DivergenceKind.kl_histogram(bins=16)),
+            marginal_divergence(x, y, DivergenceKind("kl", bins=16)),
             kl_histogram_1d(x, y, bins=16))
         # The mmd kind reports the distance, i.e. sqrt of the squared stat.
         np.testing.assert_allclose(
-            marginal_divergence(x, y, DivergenceKind.mmd(bandwidths=(1.0,))),
+            marginal_divergence(x, y, DivergenceKind("mmd", bandwidths=(1.0,))),
             np.sqrt(mmd_squared(x, y, bandwidths=(1.0,))))
 
     def test_unknown_kind_rejected(self):

@@ -9,6 +9,7 @@ import pytest
 import copulashift.experiments as ex
 from copulashift.datasets import Dataset
 from copulashift.errors import ContractViolation
+from copulashift.training import mean_std
 
 WINE_NAMES = ["fixed acidity", "volatile acidity", "citric acid",
               "residual sugar", "chlorides", "free sulfur dioxide",
@@ -52,7 +53,8 @@ class TestProtocolConfigs:
         np.testing.assert_array_equal(a_tgt.features, b_tgt.features)
         assert not np.array_equal(a_src.features, c_src.features)
 
-    @pytest.mark.parametrize("stretch", ["x", None, True])
+    @pytest.mark.parametrize("stretch", ["x", None, True,
+                                         pytest.param(10 ** 400, id="10**400")])
     def test_moons_pair_names_a_bad_stretch(self, stretch):
         # "x" raised a bare ValueError, None a TypeError, and True read as 1.0
         with pytest.raises(ContractViolation, match="stretch"):
@@ -120,10 +122,10 @@ class TestExperimentTable:
         assert md.read_text().startswith("| thing | c1 |")
 
     def test_aggregate_helper(self):
-        agg = ex._agg([1.0, 2.0, 3.0])
+        agg = mean_std([1.0, 2.0, 3.0])
         np.testing.assert_allclose(agg["mean"], 2.0)
         np.testing.assert_allclose(agg["std"], 1.0)
-        assert ex._agg([5.0])["std"] == 0.0
+        assert mean_std([5.0])["std"] == 0.0
 
 
 class TestMoonsBenchmark:

@@ -63,7 +63,7 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation, match="tanh_a"):
             TrainConfig(tanh_a=-5.0)
         for name in ("alpha", "beta", "lambda_", "learning_rate", "tanh_a"):
-            for bad in (float("nan"), float("inf")):
+            for bad in (float("nan"), float("inf"), 10 ** 400):
                 with pytest.raises(ContractViolation, match=name):
                     TrainConfig(**{name: bad})
         for name, bad in (("max_epochs", 2.5), ("early_stop_patience", 3.0),
@@ -76,6 +76,7 @@ class TestTrainConfig:
                            ({"h1": {"kind": "kl", "bins": "x"}}, "bins"),
                            ({"h1": {"kind": "kl", "bins": 2.7}}, "bins"),
                            ({"h1": {"kind": "mmd", "bandwidths": 0.5}}, "bandwidths"),
+                           ({"h1": {"kind": "mmd", "bandwidths": [10 ** 400]}}, "bandwidths"),
                            ({"h1": 5}, "h1"),
                            ({"h2": {}}, "h2"),
                            ({"h2": 5}, "h2"),
@@ -103,8 +104,8 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(method="dan", alpha=0.3, beta=0.7, seed=11,
-                          h1=dv.DivergenceKind.mmd(bandwidths=(0.5, 1.0)),
-                          h2=cop.DependenceKind.chi2(),
+                          h1=dv.DivergenceKind("mmd", bandwidths=(0.5, 1.0)),
+                          h2=cop.DependenceKind("chi2"),
                           model=LayerSpec(hidden=(8, 8), task="regression"))
         back = TrainConfig.from_dict(cfg.to_dict())
         assert back == cfg
@@ -125,7 +126,7 @@ class TestTrainConfig:
     def test_from_dict_reads_old_h2_dicts_and_rejects_mc_tags(self):
         old = {"tag": "chi2", "alpha": None, "mc_samples": 1_000_000}
         cfg = TrainConfig.from_dict({"h2": old})
-        assert cfg.h2 == cop.DependenceKind.chi2()
+        assert cfg.h2 == cop.DependenceKind("chi2")
         assert cfg.to_dict()["h2"] == {"tag": "chi2"}
         for tag in ("hellinger_mc", "alpha_mc"):
             with pytest.raises(ContractViolation, match=tag):
@@ -133,9 +134,9 @@ class TestTrainConfig:
                                               "mc_samples": 1_000_000}})
 
     def test_from_dict_rejects_bad_tags(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="h2 must be one of"):
             TrainConfig.from_dict({"h2": "js"})
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="h1 must be one of"):
             TrainConfig.from_dict({"h1": "energy"})
 
 
@@ -165,7 +166,7 @@ class TestW1MarginalTerm:
         else:
             xs, xt = rng.normal(size=(n, m)), rng.normal(0.3, 1.2, size=(n, m))
         got = []
-        for build in (lambda a, b: _marginal_term(a, b, dv.DivergenceKind.wasserstein1()),
+        for build in (lambda a, b: _marginal_term(a, b, dv.DivergenceKind("w1")),
                       w1_per_column):
             fs, ft = ad.leaf(xs), ad.leaf(xt)
             value = build(fs, ft)
@@ -260,8 +261,7 @@ class TestTrainLoop:
         xt = rng.normal(size=(32, 2))
         cfg = quick_config("cdan", alpha=0.4, beta=0.3)
         params = init_params(cfg.model, 2, seed=4)
-        weights = cop.PairWeights.uniform(params.feature_dim, cfg.beta)
-        loss, _, (md, cd) = _batch_loss(params, xs, ys, xt, cfg, weights)
+        loss, _, (md, cd) = _batch_loss(params, xs, ys, xt, cfg)
         view, _ = _node_view(params)
         sup = _supervised_loss(extract_features(ad.constant(xs), view), ys, view)
         assert abs(loss.item() - (sup.item() + md + cd)) <= 1e-12
@@ -446,23 +446,23 @@ class TestRunExperiment:
 class TestShiftReport:
     def test_identical_datasets_report_zero(self):
         source, _ = moons_domains(50)
-        rep = shift_report(source, source, dv.DivergenceKind.wasserstein1(),
-                           cop.DependenceKind.kl())
+        rep = shift_report(source, source, dv.DivergenceKind("w1"),
+                           cop.DependenceKind("kl"))
         np.testing.assert_array_equal(rep.md_per_feature, 0.0)
         assert rep.cd == 0.0
         assert rep.feature_names == list(source.feature_names)
 
     def test_stretch_shift_shows_in_first_coordinate(self):
         source, target = moons_domains(200, stretch=3.0)
-        rep = shift_report(source, target, dv.DivergenceKind.wasserstein1(),
-                           cop.DependenceKind.kl())
+        rep = shift_report(source, target, dv.DivergenceKind("w1"),
+                           cop.DependenceKind("kl"))
         assert rep.md_per_feature[0] > rep.md_per_feature[1]
         assert rep.cd >= 0.0
 
     def test_univariate_data_has_no_copula_term(self):
         a = Dataset(features=np.linspace(0, 1, 20)[:, None], labels=None,
                     domain="source", feature_names=("x",))
-        rep = shift_report(a, a, dv.DivergenceKind.wasserstein1(), cop.DependenceKind.kl())
+        rep = shift_report(a, a, dv.DivergenceKind("w1"), cop.DependenceKind("kl"))
         assert rep.cd is None
 
     def test_dimension_mismatch_rejected(self):
@@ -471,12 +471,19 @@ class TestShiftReport:
         b = Dataset(features=np.zeros((5, 3)), labels=None, domain="target",
                     feature_names=("a", "b", "c"))
         with pytest.raises(ContractViolation, match="mismatch"):
-            shift_report(a, b, dv.DivergenceKind.wasserstein1(), cop.DependenceKind.kl())
+            shift_report(a, b, dv.DivergenceKind("w1"), cop.DependenceKind("kl"))
+
+    @pytest.mark.parametrize("beta", ["x", "3", None, False])
+    def test_malformed_beta_is_named(self, beta):
+        source, target = moons_domains(30)
+        with pytest.raises(ContractViolation, match="beta"):
+            shift_report(source, target, dv.DivergenceKind("w1"),
+                         cop.DependenceKind("kl"), beta=beta)
 
     def test_report_serializes(self):
         source, target = moons_domains(30)
-        rep = shift_report(source, target, dv.DivergenceKind.wasserstein1(),
-                           cop.DependenceKind.kl())
+        rep = shift_report(source, target, dv.DivergenceKind("w1"),
+                           cop.DependenceKind("kl"))
         d = rep.to_dict()
         assert set(d) == {"md_per_feature", "cd", "feature_names"}
         json.dumps(d)
