@@ -166,7 +166,10 @@ def mul(a, b) -> Node:
     # plain-number factors become a single-parent scale, skipping the wasted
     # gradient computation into a throwaway constant
     if isinstance(a, Node) and isinstance(b, (int, float, np.integer, np.floating)):
-        s = float(b)
+        try:
+            s = float(b)
+        except OverflowError:  # an integer too large for a float, such as 10**400
+            s = np.inf
         if not np.isfinite(s):
             raise DomainError("mul: non-finite scalar factor")
         return Node(_seal(a.value * s), "scale", (a,), lambda g: (g * s,))

@@ -115,15 +115,35 @@ def _is_content(line: str) -> bool:
     return bool(line.strip()) and not line.lstrip().startswith("#")
 
 
-def _content_rows(path, delimiter: str):
-    """csv rows of a UTF-8 file's lines that are neither blank nor '#' comments."""
+def _check_delimiter(delimiter) -> None:
     try:
         csv.reader((), delimiter=delimiter)
     except TypeError as err:
         raise ContractViolation(f"load_delimited: bad delimiter {delimiter!r}: {err}") from None
+
+
+def _content_lines(path) -> list[str] | None:
+    """A UTF-8 file's lines that are neither blank nor '#' comments.
+
+    None when the file is not UTF-8: ``_content_rows`` then reads it lazily,
+    so the first fault in file order is the one reported.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield from csv.reader(filter(_is_content, fh), delimiter=delimiter)
+            return [line for line in fh if _is_content(line)]
+    except UnicodeDecodeError:
+        return None
+
+
+def _content_rows(path, delimiter: str, lines: list[str] | None = None):
+    """csv rows of ``_content_lines(path)``, read from the file unless given."""
+    _check_delimiter(delimiter)
+    try:
+        if lines is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                yield from csv.reader(filter(_is_content, fh), delimiter=delimiter)
+        else:
+            yield from csv.reader(lines, delimiter=delimiter)
     except UnicodeDecodeError as err:
         raise ContractViolation(f"load_delimited: {path} is not UTF-8 text: {err}") from None
     except csv.Error as err:
@@ -159,6 +179,45 @@ def read_header(path, delimiter: str = ",") -> list[str]:
         return _header(rows, path)
 
 
+# Printable ASCII, tab and newline, without '"' or '_'. On a body of these
+# alone numpy's C reader splits and parses cells exactly as the csv module
+# and float() do. Outside it they part: float() accepts '1_0', non-ASCII
+# digits and Unicode spaces, and quotes are csv syntax.
+_PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if chr(c) not in '"_') + b"\t\n"
+
+
+def _plain_table(lines: list[str], delimiter: str, path):
+    """Header and float64 body of a file's content lines, parsed by ``np.loadtxt``.
+
+    None when the body is not plain (see ``_PLAIN_BYTES``; the delimiter must
+    not be whitespace and no line may be longer than the csv field limit),
+    there is no header or no body row, or the body does not parse into one
+    number per header column. The csv path then reads the lines and names
+    the fault.
+    """
+    if delimiter.isspace():
+        return None
+    reader = csv.reader(lines, delimiter=delimiter)
+    try:
+        header = _header(reader, path)
+    except (csv.Error, ContractViolation):
+        return None
+    body = lines[reader.line_num:]
+    if not body or max(map(len, body)) > csv.field_size_limit():
+        return None
+    text = "".join(body)
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        data = np.loadtxt(body, delimiter=delimiter, comments=None,
+                          dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (len(body), len(header)):
+        return None
+    return header, data
+
+
 def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
                    domain: str = "source") -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
@@ -167,14 +226,37 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
     lines are skipped. Every cell must parse as a real number (what
     ``float()`` accepts); failures report the 1-based file line and the
     column name. The designated label column, when given, is separated out
-    (integer dtype when all values are integral).
+    (int64 when all values are integers inside the int64 range).
     """
-    rows = _content_rows(path, delimiter)
-    header = _header(rows, path)
-    body = list(rows)
+    _check_delimiter(delimiter)
+    lines = _content_lines(path)
+    table = None if lines is None else _plain_table(lines, delimiter, path)
+    if table is None:
+        rows = _content_rows(path, delimiter, lines)
+        header = _header(rows, path)
+        body = list(rows)
+    else:
+        header, data = table
     if label_column is not None and label_column not in header:
         raise ContractViolation(
             f"load_delimited: label column {label_column!r} not in header {header}")
+    if table is None:
+        data = _parse_body(body, header, path, delimiter)
+    if label_column is None:
+        return Dataset(data, None, domain=domain, feature_names=header)
+    li = header.index(label_column)
+    labels = data[:, li]
+    if (np.all(labels == np.round(labels))
+            and np.all((labels >= -2.0 ** 63) & (labels < 2.0 ** 63))):
+        labels = labels.astype(np.int64)
+    features = np.delete(data, li, axis=1)
+    names = [h for k, h in enumerate(header) if k != li]
+    return Dataset(features, labels, domain=domain,
+                   feature_names=names, label_name=label_column)
+
+
+def _parse_body(body, header, path, delimiter: str) -> np.ndarray:
+    """The csv rows of a file body as a float64 array, or the first fault named."""
     for r, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise ContractViolation(
@@ -182,20 +264,10 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
                 f"header has {len(header)}")
     try:
         # numpy's str -> float64 cast accepts and rejects what float() does
-        data = np.array(body, dtype=np.float64).reshape(len(body), len(header))
+        return np.array(body, dtype=np.float64).reshape(len(body), len(header))
     except ValueError:
         _raise_first_bad_cell(body, header, _row_lines(path, delimiter))
         raise
-    if label_column is None:
-        return Dataset(data, None, domain=domain, feature_names=header)
-    li = header.index(label_column)
-    labels = data[:, li]
-    if np.all(labels == np.round(labels)):
-        labels = labels.astype(np.int64)
-    features = np.delete(data, li, axis=1)
-    names = [h for k, h in enumerate(header) if k != li]
-    return Dataset(features, labels, domain=domain,
-                   feature_names=names, label_name=label_column)
 
 
 def _raise_first_bad_cell(body, header, lines) -> None:

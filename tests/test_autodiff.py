@@ -353,6 +353,16 @@ class TestErrorContracts:
         with pytest.raises(DomainError):
             ad.div(ad.leaf(1.0), ad.leaf(0.0))
 
+    @pytest.mark.parametrize("factor", [float("inf"), float("nan"), 10 ** 400],
+                             ids=["inf", "nan", "10**400"])
+    @pytest.mark.parametrize("product", [lambda x, k: x * k, lambda x, k: k * x,
+                                         lambda x, k: ad.mul(k, x)],
+                             ids=["node*k", "k*node", "mul(k,node)"])
+    def test_non_finite_scalar_factor(self, factor, product):
+        # 10**400 used to escape float() as a bare OverflowError
+        with pytest.raises(DomainError, match="non-finite scalar factor"):
+            product(ad.leaf([[1.0, 2.0]]), factor)
+
     def test_sqrt_negative(self):
         with pytest.raises(DomainError):
             ad.sqrt(ad.leaf(-0.5))

@@ -1,10 +1,14 @@
+import csv
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copulashift import datasets
 from copulashift.datasets import (Dataset, MinMaxStats, MoonsConfig,
                                   batch_iterator, generate_moons,
                                   load_delimited, minmax_normalize,
@@ -122,6 +126,56 @@ class TestDelimitedRoundTrip:
         assert np.issubdtype(back.labels.dtype, np.floating)
         np.testing.assert_array_equal(back.labels, [0.25, 0.5, 0.75])
 
+    @pytest.mark.parametrize("labels, dtype", [
+        ("3 4 5 6 7 8 9", np.int64),
+        ("-9223372036854775808 0", np.int64),  # -2**63 is the int64 minimum
+        ("1e20 3", np.float64),
+        ("-1e20 3", np.float64),
+        ("9223372036854775808 3", np.float64),  # 2**63 is one past the maximum
+    ])
+    def test_labels_are_int64_only_inside_its_range(self, tmp_path, labels, dtype):
+        # 1e20 used to wrap to -2**63 with only a RuntimeWarning
+        values = labels.split()
+        path = tmp_path / "y.csv"
+        path.write_text("a,y\n" + "".join(f"{k},{v}\n" for k, v in enumerate(values)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_delimited(path, label_column="y")
+        assert back.labels.dtype == dtype
+        np.testing.assert_array_equal(back.labels, [float(v) for v in values])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 30), n_feat=st.integers(1, 5),
+           kind=st.sampled_from(["int", "float"]))
+    def test_write_then_load_round_trips(self, data, n_rows, n_feat, kind):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        x = data.draw(st.lists(st.lists(finite, min_size=n_feat, max_size=n_feat),
+                               min_size=n_rows, max_size=n_rows))
+        if kind == "int":  # integers a float64 holds exactly
+            y = data.draw(st.lists(st.integers(-2 ** 53, 2 ** 53),
+                                   min_size=n_rows, max_size=n_rows))
+        else:  # one fractional label keeps the column float
+            y = data.draw(st.lists(finite, min_size=n_rows - 1, max_size=n_rows - 1))
+            y.insert(0, data.draw(finite.filter(lambda v: not v.is_integer())))
+        names = data.draw(st.lists(
+            st.text(alphabet="abcdefgh0123 ,;-_", min_size=1).map(str.strip).filter(bool),
+            min_size=n_feat, max_size=n_feat, unique=True))
+        note = data.draw(st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4),
+                                         max_size=3))
+        ds = Dataset(np.array(x, dtype=np.float64).reshape(n_rows, n_feat),
+                     np.array(y, dtype=np.int64 if kind == "int" else np.float64),
+                     feature_names=names, label_name="quality")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "round.csv"
+            write_dataset(ds, path, header_note=note)
+            lines = datasets._content_lines(path)
+            assert datasets._plain_table(lines, ",", path) is not None  # the C reader's path
+            back = load_delimited(path, label_column="quality")
+        assert back.features.tobytes() == ds.features.tobytes()  # -0.0 keeps its sign
+        assert back.labels.dtype == ds.labels.dtype
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert back.feature_names == names and back.label_name == "quality"
+
     def test_bad_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n3.0,oops\n")
@@ -233,6 +287,83 @@ class TestDelimitedBoundary:
         empty.write_text("# only a note\n")
         with pytest.raises(ContractViolation, match="no header row"):
             read_header(empty)
+
+
+def _load_outcome(path, delimiter, label_column):
+    """What load_delimited returns, as comparable values, or the error it raises."""
+    try:
+        ds = load_delimited(path, delimiter, label_column)
+    except Exception as err:  # the two paths must raise alike, whatever they raise
+        return type(err), str(err)
+    labels = None if ds.labels is None else (ds.labels.dtype, ds.labels.tobytes())
+    return (ds.features.shape, ds.features.tobytes(), ds.feature_names,
+            labels, ds.label_name)
+
+
+# the pieces hostile cells are made of: what float() alone accepts ('_',
+# non-ASCII digits, odd whitespace), csv syntax, and number spellings
+_TOKENS = ["0", "1", "7", ".", "e", "+", "-", " ", "\t", "_", '"', "#", "nan", "inf",
+           "\u0661", "\x0b", "\x1c"]
+
+
+class TestPlainReader:
+    @pytest.mark.parametrize("text, delimiter, plain", [
+        ('"a";"b"\n1.5;-2e3\n\n# note\n nan ; inf\t\n', ";", True),
+        ("a,b\n1,2\n", ",", True),
+        ("a,b\n1,2\r\n3,4\r\n", ",", True),
+        ("a,b\n", ",", False),  # header only
+        ('a,b\n"1",2\n', ",", False),  # a quote
+        ("a,b\n1_0,2\n", ",", False),  # float() reads 1_0 as 10
+        ("a,b\n\u0661,2\n", ",", False),  # float() reads non-ASCII digits
+        ("a,b\n1\x0b,2\n", ",", False),  # whitespace only float() strips
+        ("a\tb\n1\t2\n", "\t", False),  # whitespace delimiters
+        ("a b\n1 2\n", " ", False),
+        ("a,b\n1,2\n3\n", ",", False),  # ragged
+        ("a,b\n1,2,3\n", ",", False),  # one cell too many on every row
+        ("a,b\n1,x\n", ",", False),  # not a number
+        pytest.param("a\n" + "1" * (csv.field_size_limit() + 1) + "\n", ",", False,
+                     id="field-past-the-csv-limit"),
+    ])
+    def test_reader_takes_only_plain_bodies(self, tmp_path, text, delimiter, plain):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        lines = datasets._content_lines(path)
+        assert (datasets._plain_table(lines, delimiter, path) is not None) == plain
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_cols=st.integers(1, 4), n_rows=st.integers(0, 5),
+           delimiter=st.sampled_from([",", ";", "|", "\t", " "]),
+           clean=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]))
+    def test_reader_path_matches_csv_path(self, data, n_cols, n_rows, delimiter,
+                                          clean, newline):
+        number = (st.floats().map(repr) | st.floats().map(lambda v: "%.6g" % v)
+                  | st.integers(-99, 99).map(str))
+        pad = st.sampled_from(["", " ", "\t"])
+        cell = st.builds(lambda a, v, b: a + v + b, pad, number, pad)
+        if not clean:
+            cell = cell | st.lists(st.sampled_from(_TOKENS), max_size=5).map("".join)
+        widths = st.sampled_from([n_cols, n_cols, max(n_cols - 1, 1), n_cols + 1])
+        width = data.draw(widths)  # every row of a clean file has this many cells
+        rows = [delimiter.join(data.draw(cell) for _ in range(width if clean else data.draw(widths)))
+                for _ in range(n_rows)]
+        if rows and data.draw(st.integers(0, 3)) == 0:  # one field past the csv limit
+            rows[-1] += "1" * (csv.field_size_limit() + 1)
+        header = [f"c{k}" for k in range(n_cols)]
+        if data.draw(st.booleans()):
+            header = [f'"{h}"' for h in header]
+        lines = [delimiter.join(header), *rows]
+        for _ in range(data.draw(st.integers(0, 3))):  # blank and comment lines
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(["", " \t", "# note", "  #1,2"])))
+        label = data.draw(st.sampled_from([None, "c0", f"c{n_cols - 1}", "missing"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cells.csv"
+            path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+            got = _load_outcome(path, delimiter, label)
+            # the csv path alone, reading the file lazily as it always has
+            with mock.patch.object(datasets, "_content_lines", return_value=None):
+                want = _load_outcome(path, delimiter, label)
+        assert got == want
 
 
 class TestMinMaxNormalize:
