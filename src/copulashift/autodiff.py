@@ -41,7 +41,7 @@ def tensor(values) -> np.ndarray:
         raise ContractViolation(f"tensor: rank must be <= 2, got shape {arr.shape}")
     if arr.size == 0:
         raise ContractViolation("tensor: empty arrays are not admitted")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("tensor: NaN/Inf entries are not admitted")
     arr.setflags(write=False)
     return arr
@@ -218,8 +218,20 @@ def add_bias(x, b) -> Node:
     if b.shape != (1, x.shape[1]):
         raise ShapeError("add_bias", x.shape, b.shape)
     out = _seal(x.value + b.value)
-    return Node(out, "add_bias", (x, b),
-                lambda g: (g, g.sum(axis=0, keepdims=True)))
+    return Node(out, "add_bias", (x, b), lambda g: (g, _column_sums(g)))
+
+
+def _column_sums(g: np.ndarray) -> np.ndarray:
+    """``g.sum(axis=0, keepdims=True)``, bit for bit, in under half the time.
+
+    Down the strided columns of a C-ordered matrix numpy adds the rows one
+    at a time starting from zero, as ``einsum`` does, but by a slower path.
+    Down a contiguous column (a single column, or Fortran order) numpy sums
+    pairwise instead, so that case keeps ``sum``.
+    """
+    if g.shape[1] > 1 and g.flags.c_contiguous:
+        return np.einsum("ij->j", g).reshape(1, -1)
+    return g.sum(axis=0, keepdims=True)
 
 
 # -- elementwise nonlinearities ----------------------------------------------
@@ -403,16 +415,39 @@ def sort_cols(a) -> Node:
     return Node(out, "sort_cols", (a,), back)
 
 
+# numpy adds the items of a row shorter than 8 one by one starting from +0.0
+# (its pairwise sum unrolls only from 8 on), and a reduction along such a
+# short row costs several times a ufunc call on one column. So narrow rows
+# are reduced one column at a time, which gives the same bits.
+_NARROW_ROW = 8
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    if x.shape[1] >= _NARROW_ROW:
+        return x.max(axis=1, keepdims=True)
+    m = x[:, :1]
+    for c in range(1, x.shape[1]):
+        m = np.maximum(m, x[:, c:c + 1])
+    return m
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    if x.shape[1] >= _NARROW_ROW:
+        return x.sum(axis=1, keepdims=True)
+    s = x[:, :1] + 0.0  # starts from +0.0 as numpy does: a -0.0 total reads +0.0
+    for c in range(1, x.shape[1]):
+        s += x[:, c:c + 1]
+    return s
+
+
 def softmax_rows(a) -> Node:
     """Row-wise softmax with the usual max-shift stabilization."""
     a = constant(a)
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = _seal(e / e.sum(axis=1, keepdims=True))
+    e = np.exp(a.value - _row_max(a.value))
+    out = _seal(e / _row_sums(e))
 
     def back(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
+        return (out * (g - _row_sums(g * out)),)
 
     return Node(out, "softmax_rows", (a,), back)
 

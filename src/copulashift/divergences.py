@@ -222,7 +222,7 @@ def coral_penalty_graph(fs: ad.Node, ft: ad.Node) -> ad.Node:
 
     def cov(f):
         n = f.shape[0]
-        centered = f - ad.take_rows(ad.mean_rows(f), [0] * n)
+        centered = ad.add_bias(f, -ad.mean_rows(f))
         return ad.matmul(ad.transpose(centered), centered) * (1.0 / (n - 1))
 
     diff = cov(fs) - cov(ft)

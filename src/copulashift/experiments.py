@@ -21,8 +21,6 @@ checksum sidecar that later loads verify.
 import hashlib
 import json
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -289,6 +287,10 @@ def fetch_wine(data_dir=None, progress=None) -> list:
         url = WINE_BASE_URL + name
         if progress is not None:
             progress(f"downloading {url}")
+        # imported here: urllib.request pulls in http, email, ssl and socket,
+        # which would otherwise cost every `import copulashift` about 30 ms
+        import urllib.error
+        import urllib.request
         try:
             with urllib.request.urlopen(url, timeout=60) as resp:
                 body = resp.read()

@@ -386,21 +386,15 @@ def _auc_mann_whitney(scores, labels) -> float:
     neg = scores[labels == 0]
     if pos.size == 0 or neg.size == 0:
         raise ContractViolation("AUC undefined: dataset has a single class")
-    order = np.argsort(np.concatenate([pos, neg]), kind="stable")
-    all_scores = np.concatenate([pos, neg])[order]
-    ranks = np.empty_like(all_scores)
-    # average ranks over tie groups (Mann-Whitney, ties counted half)
-    n = all_scores.size
-    i = 0
-    base = np.arange(1, n + 1, dtype=np.float64)
-    ranks[:] = base
-    while i < n:
-        j = i
-        while j + 1 < n and all_scores[j + 1] == all_scores[i]:
-            j += 1
-        if j > i:
-            ranks[i:j + 1] = 0.5 * (base[i] + base[j])
-        i = j + 1
+    pooled = np.concatenate([pos, neg])
+    order = np.argsort(pooled, kind="stable")
+    ranked = pooled[order]
+    # average ranks over tie groups (Mann-Whitney, ties counted half): the
+    # group holding 1-based ranks first..last gives each member (first + last) / 2
+    n = ranked.size
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    ends = np.append(starts[1:], n)
+    ranks = np.repeat(0.5 * ((starts + 1.0) + ends), ends - starts)
     pos_rank_sum = ranks[order.argsort()[:pos.size]].sum()
     u = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))

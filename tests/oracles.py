@@ -3,8 +3,10 @@
 None of this runs in training or in a CLI verb: the finite-difference
 checker, the O(N^2) Kendall tau, the Monte-Carlo integrator for the closed
 forms (with Acklam's inverse normal CDF), the hand-derived gradient of the
-KL copula distance, the analytic Gaussian KLs, and the graph composite the
-fused smoothed-tau node replaced.
+KL copula distance, the analytic Gaussian KLs, the graph composite the
+fused smoothed-tau node replaced, the row reductions and the CORAL
+centering that the column-at-a-time forms replaced, and the tie loop of
+the Mann-Whitney AUC.
 """
 
 from typing import Callable, Sequence
@@ -31,6 +33,61 @@ def smooth_taus_composite(f: ad.Node, a: float) -> ad.Node:
     diff = ad.take_rows(f, np.arange(0, n, 2)) - ad.take_rows(f, np.arange(1, n, 2))
     prod = ad.take_cols(diff, first) * ad.take_cols(diff, second)
     return ad.mean_rows(ad.tanh(prod * a))
+
+
+def add_bias_summed(x, b) -> ad.Node:
+    """``add_bias`` with the bias gradient from numpy's ``sum`` over axis 0."""
+    x, b = ad.constant(x), ad.constant(b)
+    return ad.Node(x.value + b.value, "add_bias", (x, b),
+                   lambda g: (g, g.sum(axis=0, keepdims=True)))
+
+
+def softmax_rows_reduced(a) -> ad.Node:
+    """``softmax_rows`` with numpy's reductions along each row."""
+    a = ad.constant(a)
+    e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
+    out = e / e.sum(axis=1, keepdims=True)
+
+    def back(g):
+        dot = (g * out).sum(axis=1, keepdims=True)
+        return (out * (g - dot),)
+
+    return ad.Node(out, "softmax_rows", (a,), back)
+
+
+def coral_penalty_gathered(fs: ad.Node, ft: ad.Node) -> ad.Node:
+    """``coral_penalty_graph`` with the row mean broadcast by ``take_rows``."""
+    m = fs.shape[1]
+
+    def cov(f):
+        n = f.shape[0]
+        centered = f - ad.take_rows(ad.mean_rows(f), [0] * n)
+        return ad.matmul(ad.transpose(centered), centered) * (1.0 / (n - 1))
+
+    diff = cov(fs) - cov(ft)
+    return ad.total(diff * diff) * (1.0 / (4.0 * m * m))
+
+
+def auc_tie_loop(scores, labels) -> float:
+    """Mann-Whitney AUC whose tie groups are walked by a Python loop."""
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    order = np.argsort(np.concatenate([pos, neg]), kind="stable")
+    all_scores = np.concatenate([pos, neg])[order]
+    n = all_scores.size
+    base = np.arange(1, n + 1, dtype=np.float64)
+    ranks = base.copy()
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and all_scores[j + 1] == all_scores[i]:
+            j += 1
+        if j > i:
+            ranks[i:j + 1] = 0.5 * (base[i] + base[j])
+        i = j + 1
+    pos_rank_sum = ranks[order.argsort()[:pos.size]].sum()
+    u = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
+    return float(u / (pos.size * neg.size))
 
 
 def finite_difference_check(loss_builder: Callable[..., ad.Node],

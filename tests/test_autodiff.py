@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import copulashift.autodiff as ad
 from copulashift.errors import ContractViolation, DomainError, ShapeError
-from oracles import finite_difference_check
+from oracles import add_bias_summed, finite_difference_check, softmax_rows_reduced
 
 
 class TestTensor:
@@ -380,3 +380,74 @@ class TestErrorContracts:
     def test_item_requires_scalar(self):
         with pytest.raises(ContractViolation):
             ad.leaf([[1.0, 2.0]]).item()
+
+
+def _same_bits(a, b):
+    # stricter than array_equal: the sign of a zero counts too
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def _spread(rng, shape):
+    """Values over six decades, with some entries set to +0.0 and -0.0."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+def _value_and_grads(op, inputs, upstream):
+    """``op``'s value and the gradients of its inputs under ``upstream``."""
+    leaves = [ad.leaf(v) for v in inputs]
+    out = op(*leaves)
+    # d total(out * U) / d out is U exactly: total gives ones, mul gives 1.0 * U
+    ad.backward(ad.total(out * ad.constant(upstream)))
+    return [out.value] + [leaf.grad for leaf in leaves]
+
+
+# moons-sized batches at the widths the models use, a wide batch, one row,
+# and a single column (a regression head), whose column numpy sums pairwise
+NARROW_SHAPES = [(922, 2), (922, 4), (922, 8), (256, 64), (1, 1), (1, 2), (1, 5),
+                 (922, 1)]
+
+
+class TestReductionsMatchNumpy:
+    """``add_bias`` and ``softmax_rows`` against the numpy reductions they replaced."""
+
+    @pytest.mark.parametrize("shape", NARROW_SHAPES)
+    def test_add_bias_gradient(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        inputs = [_spread(rng, shape), _spread(rng, (1, shape[1]))]
+        upstream = _spread(rng, shape)
+        for mine, oracle in zip(_value_and_grads(ad.add_bias, inputs, upstream),
+                                _value_and_grads(add_bias_summed, inputs, upstream)):
+            _same_bits(mine, oracle)
+
+    @pytest.mark.parametrize("shape", NARROW_SHAPES + [(922, 3), (5, 7), (5, 9)])
+    def test_softmax_rows(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        inputs = [_spread(rng, shape) * 0.01]
+        upstream = _spread(rng, shape)
+        for mine, oracle in zip(_value_and_grads(ad.softmax_rows, inputs, upstream),
+                                _value_and_grads(softmax_rows_reduced, inputs, upstream)):
+            _same_bits(mine, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_column_sums_in_any_layout(self, data):
+        n = data.draw(st.integers(1, 40), label="rows")
+        m = data.draw(st.integers(1, 12), label="cols")
+        layout = data.draw(st.sampled_from(["C", "F", "strided"]), label="layout")
+        g = _spread(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), (n, 2 * m))
+        g = {"C": np.ascontiguousarray(g[:, :m]), "F": np.asfortranarray(g[:, :m]),
+             "strided": g[:, ::2]}[layout]
+        _same_bits(ad._column_sums(g), g.sum(axis=0, keepdims=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_reductions(self, data):
+        n = data.draw(st.integers(1, 40), label="rows")
+        k = data.draw(st.integers(1, 12), label="cols")
+        x = _spread(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), (n, k))
+        _same_bits(ad._row_sums(x), x.sum(axis=1, keepdims=True))
+        _same_bits(ad._row_max(x), x.max(axis=1, keepdims=True))

@@ -9,8 +9,8 @@ from copulashift.divergences import (DivergenceKind, coral_penalty_graph,
                                      mmd_squared, mmd_squared_graph,
                                      wasserstein1_1d)
 from copulashift.errors import ContractViolation, DomainError, ShapeError
-from oracles import (finite_difference_check, gaussian_kl_multivariate,
-                     gaussian_kl_univariate)
+from oracles import (coral_penalty_gathered, finite_difference_check,
+                     gaussian_kl_multivariate, gaussian_kl_univariate)
 
 # Shared tiny samples for the frozen MMD oracle values below.
 MMD_X = np.array([0.0, 1.0, 2.0])
@@ -256,6 +256,23 @@ class TestCoral:
         node = coral_penalty_graph(ad.constant(self.XS), ad.constant(self.YS))
         diff = np.cov(self.XS, rowvar=False) - np.cov(self.YS, rowvar=False)
         np.testing.assert_allclose(node.item(), np.sum(diff ** 2) / 16, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(922, 2), (922, 4), (922, 8), (256, 64), (2, 1),
+                                       (2, 3)])
+    def test_centering_matches_gathered_mean(self, shape):
+        # the oracle broadcasts the mean row with take_rows; values and
+        # gradients must match it exactly
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        xs = rng.normal(size=shape) * 3.0
+        xt = rng.normal(0.5, 2.0, size=(shape[0] + 3, shape[1]))
+        results = []
+        for penalty in (coral_penalty_graph, coral_penalty_gathered):
+            fs, ft = ad.leaf(xs), ad.leaf(xt)
+            out = penalty(fs, ft)
+            ad.backward(out)
+            results.append((out.value, fs.grad, ft.grad))
+        for mine, oracle in zip(*results):
+            np.testing.assert_array_equal(mine, oracle)
 
 
 class TestGaussianKL:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import copulashift.autodiff as ad
 from copulashift.errors import ContractViolation
@@ -161,6 +162,29 @@ class TestCheckpointRoundTrip:
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
         np.testing.assert_array_equal(params.head[0], back.head[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_predictions_survive_bit_for_bit(self, tmp_path_factory, data):
+        hidden = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3), label="hidden")
+        spec = LayerSpec(hidden=hidden, n_classes=data.draw(st.integers(2, 9), label="classes"),
+                         activation=data.draw(st.sampled_from(["relu", "tanh"]), label="act"))
+        dim = data.draw(st.integers(1, 5), label="input dim")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        params = init_params(spec, dim, seed)
+        # trained weights: nonzero biases, entries at every scale, signed zeros
+        for arr in params.flat_arrays():
+            arr += rng.normal(size=arr.shape) * 10.0 ** rng.integers(-12, 2, size=arr.shape)
+            arr[rng.random(arr.shape) < 0.1] = -0.0
+        x = rng.normal(size=(data.draw(st.integers(1, 30), label="rows"), dim))
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt.json"
+        save_params(params, path)
+        back = load_params(path)
+        for a, b in zip(params.flat_arrays(), back.flat_arrays()):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert predict_proba(x, back).tobytes() == predict_proba(x, params).tobytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

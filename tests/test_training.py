@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import copulashift.copula as cop
 import copulashift.divergences as dv
@@ -16,6 +17,7 @@ from copulashift.training import (TrainConfig, _auc_mann_whitney, _batch_loss,
                                   learned_shift, run_experiment,
                                   shift_report, train)
 import copulashift.autodiff as ad
+from oracles import auc_tie_loop
 
 
 def moons_domains(n_per_class=80, stretch=3.0, seed=0):
@@ -339,6 +341,30 @@ class TestAuc:
         scores = rng.uniform(size=4000)
         labels = rng.integers(0, 2, size=4000)
         assert abs(_auc_mann_whitney(scores, labels) - 0.5) < 0.03
+
+    LEVELS = [0.0, -0.0, 1e-300, 0.25, 0.5, float(np.nextafter(0.5, 1.0)), 1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_tie_loop(self, data):
+        n = data.draw(st.integers(2, 60), label="n")
+        kind = data.draw(st.sampled_from(["tied", "all tied", "distinct"]), label="scores")
+        if kind == "distinct":
+            seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+            scores = np.random.default_rng(seed).uniform(size=n)
+        else:
+            levels = self.LEVELS if kind == "tied" else [data.draw(st.sampled_from(self.LEVELS))]
+            scores = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n,
+                                                 max_size=n), label="tied scores"))
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                    label="labels"))
+        lone = data.draw(st.sampled_from([None, 0, 1]), label="class of one")
+        if lone is not None:  # one member of a class: the edge of "single class"
+            labels[:] = 1 - lone
+            labels[data.draw(st.integers(0, n - 1), label="lone row")] = lone
+        elif labels.min() == labels.max():
+            labels[data.draw(st.integers(0, n - 1), label="flipped row")] ^= 1
+        assert _auc_mann_whitney(scores, labels) == auc_tie_loop(scores, labels)
 
 
 class TestEvaluation:
