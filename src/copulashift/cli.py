@@ -93,12 +93,15 @@ def _resolve_config(args, model_hint: dict | None = None) -> TrainConfig:
     return TrainConfig.from_dict(data)
 
 
-def _load_maybe_labeled(path, delimiter: str, label_column: str,
+def _load_maybe_labeled(verb: str, path, delimiter: str, label_column: str,
                         domain: str) -> Dataset:
-    """Load a CSV, treating ``label_column`` as the label only if present."""
+    """Load a CSV that has data rows, with ``label_column`` as the label if present."""
     column = label_column if label_column in read_header(path, delimiter) else None
-    return load_delimited(path, delimiter=delimiter, label_column=column,
-                          domain=domain)
+    ds = load_delimited(path, delimiter=delimiter, label_column=column,
+                        domain=domain)
+    if len(ds) == 0:
+        raise ContractViolation(f"{verb}: {path} has no data rows")
+    return ds
 
 
 def _write_json(doc: dict, path) -> None:
@@ -122,12 +125,12 @@ def cmd_moons_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    source = _load_maybe_labeled(args.source, args.delimiter,
+    source = _load_maybe_labeled("train", args.source, args.delimiter,
                                  args.label_column, "source")
     if source.labels is None:
         raise ContractViolation(
             f"train: {args.source} has no {args.label_column!r} column")
-    target = _load_maybe_labeled(args.target, args.delimiter,
+    target = _load_maybe_labeled("train", args.target, args.delimiter,
                                  args.label_column, "target")
     hint = {}
     if np.issubdtype(source.labels.dtype, np.integer):
@@ -156,7 +159,7 @@ def cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     with open(args.checkpoint, "r", encoding="utf-8") as fh:
         extra = json.load(fh).get("extra", {})
-    ds = _load_maybe_labeled(args.data, args.delimiter,
+    ds = _load_maybe_labeled("eval", args.data, args.delimiter,
                              args.label_column, "target")
     if ds.labels is None:
         raise ContractViolation(
@@ -180,8 +183,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_shift_report(args) -> int:
-    a = _load_maybe_labeled(args.a, args.delimiter, args.label_column, "source")
-    b = _load_maybe_labeled(args.b, args.delimiter, args.label_column, "target")
+    a = _load_maybe_labeled("shift-report", args.a, args.delimiter,
+                            args.label_column, "source")
+    b = _load_maybe_labeled("shift-report", args.b, args.delimiter,
+                            args.label_column, "target")
     config = _resolve_config(args)
     beta = 1.0 if args.beta is None else args.beta
     rep = shift_report(a, b, config.h1, config.h2, beta=beta, tanh_a=config.tanh_a)
@@ -276,22 +281,15 @@ def _add_config_flags(sp) -> None:
     sp.add_argument("--method", choices=METHODS, help="training objective")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="copulashift",
-        description="Domain adaptation by marginal + dependence-structure "
-                    "alignment: train, diagnose, and reproduce benchmarks.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    sp = sub.add_parser("moons-gen", help="write a stretched two-moons CSV")
+def _moons_gen_args(sp) -> None:
     sp.add_argument("--n", type=int, default=512, help="points per class")
     sp.add_argument("--stretch", type=float, default=1.0)
     sp.add_argument("--noise", type=float, default=0.05)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_moons_gen)
 
-    sp = sub.add_parser("train", help="fit a model on source/target CSVs")
+
+def _train_args(sp) -> None:
     sp.add_argument("--source", required=True, help="labeled source CSV")
     sp.add_argument("--target", required=True,
                     help="target CSV (labels, if any, are ignored)")
@@ -302,25 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the task inferred from the labels")
     _add_io_flags(sp)
     _add_config_flags(sp)
-    sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("eval", help="score a checkpoint on a labeled CSV")
+
+def _eval_args(sp) -> None:
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", help="also write the report JSON here")
     _add_io_flags(sp)
-    sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("shift-report",
-                        help="per-feature marginal divergences + copula distance")
+
+def _shift_report_args(sp) -> None:
     sp.add_argument("a", help="first CSV (e.g. source)")
     sp.add_argument("b", help="second CSV (e.g. target)")
     sp.add_argument("--out", help="write .json and .csv reports to this base path")
     _add_io_flags(sp)
     _add_config_flags(sp)
-    sp.set_defaults(func=cmd_shift_report)
 
-    sp = sub.add_parser("reproduce", help="run a benchmark table")
+
+def _reproduce_args(sp) -> None:
     sp.add_argument("table", choices=sorted(_TABLES))
     sp.add_argument("--seeds", type=int,
                     help="number of seeds (default depends on the table)")
@@ -329,19 +326,50 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output base path (default: the table name)")
     sp.add_argument("--quiet", action="store_true",
                     help="suppress per-run progress lines")
-    sp.set_defaults(func=cmd_reproduce)
 
-    sp = sub.add_parser("fetch-wine",
-                        help="download and verify the wine-quality CSVs")
+
+def _fetch_wine_args(sp) -> None:
     sp.add_argument("--data-dir", help="target directory "
                     "(default $COPULASHIFT_DATA_DIR or ./data)")
-    sp.set_defaults(func=cmd_fetch_wine)
 
+
+# (name, help, add-arguments, command) of every verb, in the order -h lists them
+_VERBS = (
+    ("moons-gen", "write a stretched two-moons CSV", _moons_gen_args, cmd_moons_gen),
+    ("train", "fit a model on source/target CSVs", _train_args, cmd_train),
+    ("eval", "score a checkpoint on a labeled CSV", _eval_args, cmd_eval),
+    ("shift-report", "per-feature marginal divergences + copula distance",
+     _shift_report_args, cmd_shift_report),
+    ("reproduce", "run a benchmark table", _reproduce_args, cmd_reproduce),
+    ("fetch-wine", "download and verify the wine-quality CSVs",
+     _fetch_wine_args, cmd_fetch_wine),
+)
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with ``verb``, only that verb gets its arguments.
+
+    Every verb is registered either way, so the verb list, its help and the
+    error for a missing or unknown verb are the same. Building the arguments
+    of the one verb that runs spares the rest of their argparse set-up.
+    """
+    parser = argparse.ArgumentParser(
+        prog="copulashift",
+        description="Domain adaptation by marginal + dependence-structure "
+                    "alignment: train, diagnose, and reproduce benchmarks.")
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, help_, add_arguments, command in _VERBS:
+        sp = sub.add_parser(name, help=help_)
+        if verb is None or verb == name:
+            add_arguments(sp)
+        sp.set_defaults(func=command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = argv[0] if argv and argv[0] in {v[0] for v in _VERBS} else None
+    args = build_parser(verb).parse_args(argv)
     try:
         return args.func(args)
     except (ContractViolation, ex.MissingDataError, OSError,

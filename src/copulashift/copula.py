@@ -87,7 +87,15 @@ def _smooth_taus(f: ad.Node, a: float) -> ad.Node:
     k = n // 2
     first, second = _pair_index(m)
     dT = np.ascontiguousarray((f.value[0:2 * k:2] - f.value[1:2 * k:2]).T)
-    t = dT[first] * dT[second]  # (P, k); worked in place to spare fresh arrays
+    # (P, k), worked in place to spare fresh arrays. Pairs (i, i+1..m-1) are
+    # consecutive rows in ``_pair_index`` order, so each first column writes
+    # its block with one product and no gathered copies of dT.
+    t = np.empty((first.size, k))
+    start = 0
+    for i in range(m - 1):
+        stop = start + m - 1 - i
+        np.multiply(dT[i + 1:], dT[i], out=t[start:stop])
+        start = stop
     t *= a
     np.tanh(t, out=t)
     tau = t.mean(axis=1).reshape(1, -1)

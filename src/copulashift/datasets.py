@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -122,6 +123,12 @@ def _check_delimiter(delimiter) -> None:
         raise ContractViolation(f"load_delimited: bad delimiter {delimiter!r}: {err}") from None
 
 
+# A line, newline kept, whose first non-whitespace character is not '#': the
+# lines ``_is_content`` keeps. re's \s on str and str.strip() drop the same
+# characters, and a text-mode read leaves '\n' as the only line end.
+_CONTENT_LINE = re.compile(r"^[^\S\n]*[^\s#].*(?:\n|\Z)", re.M)
+
+
 def _content_lines(path) -> list[str] | None:
     """A UTF-8 file's lines that are neither blank nor '#' comments.
 
@@ -130,7 +137,7 @@ def _content_lines(path) -> list[str] | None:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [line for line in fh if _is_content(line)]
+            return _CONTENT_LINE.findall(fh.read())
     except UnicodeDecodeError:
         return None
 

@@ -160,28 +160,42 @@ def wasserstein1_1d(x, y) -> float:
     if xa.size == ya.size:
         return float(np.mean(np.abs(xa - ya)))
     L = max(xa.size, ya.size)
-    grid = np.arange(1, L + 1) / (L + 1.0)
-    qx = _sorted_quantiles(xa, grid)
-    qy = _sorted_quantiles(ya, grid)
+    qx = _sorted_quantiles(xa, L)
+    qy = _sorted_quantiles(ya, L)
     return float(np.mean(np.abs(qx - qy)))
 
 
-def _sorted_quantiles(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Quantiles ``p`` of the ascending 1-D array ``s``, read off by index.
+@functools.lru_cache(maxsize=8)
+def _quantile_plan(n: int, L: int):
+    """Where ``_sorted_quantiles`` reads the grid k/(L+1), k = 1..L, of n values.
 
-    Hyndman & Fan's type 7 (numpy's ``method="linear"``): the value at
-    h = (n-1) p, blended between its two neighbours with numpy's own lerp,
-    so the result is ``np.quantile(s, p)`` without partitioning ``s`` again.
+    Hyndman & Fan's type 7 (numpy's ``method="linear"``) puts quantile p at
+    h = (n-1) p: the lower and upper neighbour indices of h, the weight
+    t = h - floor(h), 1 - t, and where t >= 0.5 (numpy's lerp blends from
+    the upper neighbour there). Cached and shared, so read-only.
     """
-    h = (s.size - 1) * p
+    h = (n - 1) * (np.arange(1, L + 1) / (L + 1.0))
     lo = np.floor(h)
     t = h - lo
     lo = lo.astype(np.intp)
+    plan = (lo, np.minimum(lo + 1, n - 1), t, 1 - t, t >= 0.5)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _sorted_quantiles(s: np.ndarray, L: int) -> np.ndarray:
+    """Quantiles k/(L+1), k = 1..L, of the ascending 1-D array ``s``, read off by index.
+
+    Blended between the two neighbours with numpy's own lerp, so the result
+    is ``np.quantile(s, grid)`` without partitioning ``s`` again.
+    """
+    lo, hi, t, one_minus_t, upper = _quantile_plan(s.size, L)
     a = s[lo]
-    b = s[np.minimum(lo + 1, s.size - 1)]
+    b = s[hi]
     diff = b - a
     out = a + diff * t
-    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    np.subtract(b, diff * one_minus_t, out=out, where=upper)
     return out
 
 

@@ -301,6 +301,8 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
     """
     if source.labels is None:
         raise ContractViolation("train: source dataset must be labeled")
+    if len(source) == 0:
+        raise ContractViolation("train: source dataset is empty")
     if len(target) == 0:
         raise ContractViolation("train: target dataset is empty")
     if source.dim != target.dim:

@@ -39,6 +39,60 @@ def make_regression_csv(tmp_path, name, seed, n=24):
     return path
 
 
+# a valid command line for each verb that sets every flag the verb has
+_FULL_ARGV = {
+    "moons-gen": ["--n", "8", "--stretch", "2", "--noise", "0.1", "--seed", "3",
+                  "--out", "m.csv"],
+    "train": ["--source", "s.csv", "--target", "t.csv", "--out", "m", "--hidden", "8,4",
+              "--task", "regression", "--delimiter", ";", "--label-column", "q",
+              "--config", "c.json", "--seed", "1", "--alpha", "0.1", "--beta", "0.2",
+              "--lambda", "0.3", "--lr", "0.01", "--epochs", "5", "--batch", "64",
+              "--h1", "kl", "--h2", "w2", "--tanh-a", "50", "--method", "coral"],
+    "eval": ["--checkpoint", "m.ckpt.json", "--data", "d.csv", "--out", "r.json",
+             "--delimiter", ";", "--label-column", "q"],
+    "shift-report": ["a.csv", "b.csv", "--out", "r", "--delimiter", ";",
+                     "--label-column", "q", "--h1", "mmd", "--h2", "chi2", "--beta", "2",
+                     "--tanh-a", "7", "--config", "c.json"],
+    "reproduce": ["table6", "--seeds", "2", "--data-dir", "data", "--out", "t", "--quiet"],
+    "fetch-wine": ["--data-dir", "data"],
+}
+# the fewest arguments each verb takes: the rest come from defaults
+_MIN_ARGV = {"moons-gen": ["--out", "m.csv"], "train": ["--source", "s", "--target", "t"],
+             "eval": ["--checkpoint", "c", "--data", "d"], "shift-report": ["a", "b"],
+             "reproduce": ["table3"], "fetch-wine": []}
+_VERB_NAMES = [name for name, *_ in cli._VERBS]
+
+
+def parse_exit(parse, argv, capsys):
+    """The exit code and (stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    return info.value.code, capsys.readouterr()
+
+
+class TestParser:
+    def test_every_verb_has_command_lines(self):
+        assert sorted(_FULL_ARGV) == sorted(_MIN_ARGV) == sorted(_VERB_NAMES)
+
+    @pytest.mark.parametrize("verb", _VERB_NAMES)
+    def test_verb_only_parser_parses_and_helps_as_the_full_one(self, verb, capsys):
+        for argv in ([verb, *_FULL_ARGV[verb]], [verb, *_MIN_ARGV[verb]]):
+            assert cli.build_parser(verb).parse_args(argv) == cli.build_parser().parse_args(argv)
+        for argv in ([verb, "-h"], ["-h"]):
+            alone = parse_exit(cli.build_parser(verb).parse_args, argv, capsys)
+            assert alone == parse_exit(cli.build_parser().parse_args, argv, capsys)
+            assert alone[0] == 0 and alone[1].out.startswith("usage: copulashift")
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "1"], ["Train"]])
+    def test_missing_or_unknown_verb_is_one_usage_error(self, argv, capsys):
+        outcomes = {parse_exit(cli.build_parser(verb).parse_args, argv, capsys)
+                    for verb in [None, *_VERB_NAMES]}
+        assert len(outcomes) == 1
+        code, streams = outcomes.pop()
+        assert code == cli.EXIT_USAGE and "error:" in streams.err
+        assert parse_exit(cli.main, argv, capsys) == (code, streams)
+
+
 class TestMoonsGen:
     def test_writes_csv_with_embedded_generator_note(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -182,6 +236,27 @@ class TestTrainEval:
         assert code == cli.EXIT_USAGE
         capsys.readouterr()
 
+    def test_header_only_csv_exits_usage(self, tmp_path, capsys):
+        src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x,y,label\n")
+        for source, target in ((empty, src), (src, empty)):
+            code = run_cli("train", "--source", source, "--target", target,
+                           "--out", tmp_path / "m")
+            assert code == cli.EXIT_USAGE
+            assert f"error: train: {empty} has no data rows" in capsys.readouterr().err
+
+    def test_eval_on_header_only_csv_exits_usage(self, tmp_path, capsys):
+        src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x,y,label\n")
+        assert run_cli("train", "--source", src, "--target", src, "--epochs", 1,
+                       "--out", tmp_path / "m") == cli.EXIT_OK
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", tmp_path / "m.ckpt.json", "--data", empty)
+        assert code == cli.EXIT_USAGE
+        assert f"error: eval: {empty} has no data rows" in capsys.readouterr().err
+
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run_cli("train", "--source", "a", "--target", "b",
@@ -236,6 +311,14 @@ class TestShiftReport:
         code = run_cli("shift-report", data, latin)
         assert code == cli.EXIT_USAGE
         assert "latin1.csv is not UTF-8" in capsys.readouterr().err
+
+    def test_header_only_csv_exits_usage(self, tmp_path, capsys):
+        data = make_moons_csv(tmp_path, "a.csv", stretch=2, seed=5)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x,y,label\n")
+        code = run_cli("shift-report", data, empty)
+        assert code == cli.EXIT_USAGE
+        assert f"error: shift-report: {empty} has no data rows" in capsys.readouterr().err
 
     def test_out_writes_json_and_csv(self, tmp_path, capsys):
         data = make_moons_csv(tmp_path, "a.csv", stretch=2, seed=5)

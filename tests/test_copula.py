@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import copulashift.autodiff as ad
 import copulashift.copula as cop
-from copulashift.copula import (DependenceKind, copula_distance,
+from copulashift.copula import (H2_TAGS, DependenceKind, copula_distance,
                                 copula_distance_graph, copula_param_from_tau,
                                 kendall_tau_smooth, _smooth_taus,
                                 pair_dependence_divergence)
+from copulashift.divergences import _pair_index
 from copulashift.errors import ContractViolation, DomainError
 from oracles import (cd_kl_gradient_analytic, finite_difference_check,
                      gaussian_copula_density, inverse_normal_cdf,
@@ -238,6 +240,14 @@ class TestDependenceKindValidation:
             DependenceKind(tag="kl", alpha=0.5)
 
 
+def _gathered_taus(x: np.ndarray, a: float) -> np.ndarray:
+    """The smoothed taus with each pair's columns gathered by ``_pair_index``."""
+    k = x.shape[0] // 2
+    d = (x[0:2 * k:2] - x[1:2 * k:2]).T
+    first, second = _pair_index(x.shape[1])
+    return np.tanh(d[first] * d[second] * a).mean(axis=1).reshape(1, -1)
+
+
 class TestCopulaDistance:
     @staticmethod
     def _features(seed, n=600, shuffle_rho=0.0):
@@ -255,6 +265,28 @@ class TestCopulaDistance:
             d_ba = copula_distance(fb, fa, 1.0, kind, 100.0)
             assert d_ab >= 0.0
             np.testing.assert_allclose(d_ab, d_ba, rtol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_a=st.integers(2, 40), n_b=st.integers(2, 40), m=st.integers(2, 9),
+           tag=st.sampled_from(H2_TAGS), ties=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_axioms_on_random_shapes(self, n_a, n_b, m, tag, ties, seed):
+        rng = np.random.default_rng(seed)
+        mix = np.eye(m) + rng.normal(size=(m, m))
+        if ties:  # tied and constant columns give zero row-pair differences
+            fa = rng.integers(-2, 3, size=(n_a, m)) * 0.5
+            fb = rng.integers(-1, 2, size=(n_b, m)) * 1.0
+        else:
+            fa = rng.normal(size=(n_a, m))
+            fb = rng.normal(size=(n_b, m)) @ mix
+        kind = DependenceKind(tag)
+        assert copula_distance(fa, fa, 1.0, kind) == 0.0
+        d_ab = copula_distance(fa, fb, 1.0, kind)
+        assert d_ab == copula_distance(fb, fa, 1.0, kind)
+        assert math.isfinite(d_ab) and d_ab >= 0.0
+        for f in (fa, fb):
+            np.testing.assert_array_equal(_smooth_taus(ad.constant(f), 100.0).value,
+                                          _gathered_taus(f, 100.0))
 
     def test_linear_in_the_weights(self):
         fa = self._features(4, shuffle_rho=0.8)

@@ -366,6 +366,24 @@ class TestPlainReader:
         assert got == want
 
 
+# line ends, every character str.strip() drops, '#', and a few ordinary ones
+_LINE_PIECES = ["\n", "\r", "\r\n", "#", "a", "1", ",", "\ufeff", "\u200b",
+                *(chr(c) for c in range(0x110000) if chr(c).isspace())]
+
+
+class TestContentLines:
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(_LINE_PIECES)
+                           | st.characters(blacklist_categories=("Cs",)), max_size=40))
+    def test_single_pass_keeps_the_lines_is_content_keeps(self, pieces):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lines.csv"
+            path.write_bytes("".join(pieces).encode("utf-8"))
+            with open(path, "r", encoding="utf-8") as fh:
+                want = [line for line in fh if datasets._is_content(line)]
+            assert datasets._content_lines(path) == want
+
+
 class TestMinMaxNormalize:
     def test_hand_computed_ranges(self):
         train = Dataset(np.array([[0.0, 10.0], [2.0, 30.0], [1.0, 20.0]]), None)

@@ -153,7 +153,7 @@ class TestWasserstein1:
         s = np.sort(s)
         L = n + extra  # L = n when extra is 0
         grid = np.arange(1, L + 1) / (L + 1.0)
-        assert np.array_equal(dv._sorted_quantiles(s, grid),
+        assert np.array_equal(dv._sorted_quantiles(s, L),
                               np.quantile(s, grid, method="linear"))
 
     def test_unequal_sizes_exact_against_np_quantile(self):

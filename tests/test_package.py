@@ -6,6 +6,14 @@ from pathlib import Path
 import copulashift
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's copulashift."""
+    src = str(Path(copulashift.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+
+
 def test_every_public_name_resolves():
     missing = [name for name in copulashift.__all__ if not hasattr(copulashift, name)]
     assert missing == []
@@ -14,9 +22,12 @@ def test_every_public_name_resolves():
 
 def test_import_leaves_urllib_request_unloaded():
     # urllib.request pulls in http, email, ssl and socket; only fetch-wine needs it
-    src = str(Path(copulashift.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, copulashift; print('urllib.request' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
+    done = run_python("-c", "import sys, copulashift; print('urllib.request' in sys.modules)")
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_python_m_runs_the_cli():
+    done = run_python("-m", "copulashift", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: copulashift") and "shift-report" in done.stdout

@@ -10,7 +10,7 @@ from copulashift.datasets import (Dataset, MinMaxStats, MoonsConfig,
                                   generate_moons)
 from copulashift.errors import ContractViolation
 from copulashift.models import LayerSpec, extract_features, init_params
-from copulashift.training import (TrainConfig, _auc_mann_whitney, _batch_loss,
+from copulashift.training import (METHODS, TrainConfig, _auc_mann_whitney, _batch_loss,
                                   _marginal_term, _node_view,
                                   _supervised_loss, aggregate_metrics,
                                   evaluate_classification, evaluate_regression,
@@ -113,6 +113,43 @@ class TestTrainConfig:
         assert back == cfg
         assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip_over_every_field_kind(self, data):
+        def real(lo=0.0, hi=None, exclude_min=False):
+            return data.draw(st.floats(lo, hi, exclude_min=exclude_min,
+                                       allow_nan=False, allow_infinity=False))
+
+        h1 = data.draw(st.sampled_from(dv.H1_TAGS))
+        bandwidths = None
+        if h1 == "mmd" and data.draw(st.booleans()):
+            n_bw = data.draw(st.integers(1, 3))
+            bandwidths = tuple(real(exclude_min=True) for _ in range(n_bw))
+        method = data.draw(st.sampled_from(METHODS))
+        hidden = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
+        if method == "cdan":
+            hidden[-1] = max(hidden[-1], 2)
+        cfg = TrainConfig(
+            method=method, alpha=real(), beta=real(), lambda_=real(),
+            learning_rate=real(exclude_min=True),
+            max_epochs=data.draw(st.integers(1, 10 ** 6)),
+            early_stop_patience=data.draw(st.integers(0, 10 ** 6)),
+            batch_size=2 * data.draw(st.integers(1, 2 ** 40)),
+            seed=data.draw(st.integers(0, 2 ** 64)),
+            h1=dv.DivergenceKind(h1, bandwidths=bandwidths,
+                                 bins=data.draw(st.integers(2, 10 ** 6))),
+            h2=cop.DependenceKind(data.draw(st.sampled_from(cop.H2_TAGS))),
+            tanh_a=real(exclude_min=True),
+            model=LayerSpec(hidden=tuple(hidden),
+                            task=data.draw(st.sampled_from(["classification", "regression"])),
+                            n_classes=data.draw(st.integers(2, 50)),
+                            activation=data.draw(st.sampled_from(["relu", "tanh"]))),
+            holdout_fraction=real(hi=0.99))
+        text = json.dumps(cfg.to_dict(), sort_keys=True)
+        back = TrainConfig.from_dict(json.loads(text))
+        assert back == cfg
+        assert json.dumps(back.to_dict(), sort_keys=True) == text  # -0.0 included
+
     def test_from_dict_layers_over_base(self):
         base = TrainConfig(alpha=5.0, beta=2.0, seed=3)
         out = TrainConfig.from_dict({"alpha": 7.0, "h2": "w2"}, base=base)
@@ -208,6 +245,11 @@ class TestTrainValidation:
         source, target = moons_domains(20)
         with pytest.raises(ContractViolation, match="target dataset is empty"):
             train(source, target.unlabeled().subset([]), quick_config())
+
+    def test_empty_source_rejected(self):
+        source, target = moons_domains(20)
+        with pytest.raises(ContractViolation, match="source dataset is empty"):
+            train(source.subset([]), target.unlabeled(), quick_config())
 
     def test_too_few_rows_for_any_batch(self):
         source, target = moons_domains(20)
