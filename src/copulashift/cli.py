@@ -159,6 +159,8 @@ def cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     with open(args.checkpoint, "r", encoding="utf-8") as fh:
         extra = json.load(fh).get("extra", {})
+    if not isinstance(extra, dict):
+        raise ContractViolation(f"eval: {args.checkpoint} has a non-object 'extra' entry")
     ds = _load_maybe_labeled("eval", args.data, args.delimiter,
                              args.label_column, "target")
     if ds.labels is None:
@@ -263,22 +265,15 @@ def _add_io_flags(sp, label_default: str = "label") -> None:
                     help="column treated as the label when present")
 
 
-def _add_config_flags(sp) -> None:
+def _add_divergence_flags(sp) -> None:
+    """The config flags a shift report reads; ``train`` takes them too."""
     sp.add_argument("--config", help="JSON file of training-config fields; "
                     "command-line flags override it")
-    sp.add_argument("--seed", type=int, help="training seed")
-    sp.add_argument("--alpha", type=float, help="marginal regularizer weight")
     sp.add_argument("--beta", type=float, help="dependence regularizer weight")
-    sp.add_argument("--lambda", dest="lambda_", type=float,
-                    help="baseline (dan/coral) regularizer weight")
-    sp.add_argument("--lr", type=float, help="Adam learning rate")
-    sp.add_argument("--epochs", type=int, help="maximum epochs")
-    sp.add_argument("--batch", type=int, help="batch size")
     sp.add_argument("--h1", choices=H1_TAGS, help="marginal divergence")
     sp.add_argument("--h2", choices=H2_TAGS, help="copula-pair divergence")
     sp.add_argument("--tanh-a", dest="tanh_a", type=float,
                     help="rank-correlation smoothing sharpness")
-    sp.add_argument("--method", choices=METHODS, help="training objective")
 
 
 def _moons_gen_args(sp) -> None:
@@ -299,7 +294,15 @@ def _train_args(sp) -> None:
     sp.add_argument("--task", choices=["classification", "regression"],
                     help="override the task inferred from the labels")
     _add_io_flags(sp)
-    _add_config_flags(sp)
+    _add_divergence_flags(sp)
+    sp.add_argument("--seed", type=int, help="training seed")
+    sp.add_argument("--alpha", type=float, help="marginal regularizer weight")
+    sp.add_argument("--lambda", dest="lambda_", type=float,
+                    help="baseline (dan/coral) regularizer weight")
+    sp.add_argument("--lr", type=float, help="Adam learning rate")
+    sp.add_argument("--epochs", type=int, help="maximum epochs")
+    sp.add_argument("--batch", type=int, help="batch size")
+    sp.add_argument("--method", choices=METHODS, help="training objective")
 
 
 def _eval_args(sp) -> None:
@@ -314,7 +317,7 @@ def _shift_report_args(sp) -> None:
     sp.add_argument("b", help="second CSV (e.g. target)")
     sp.add_argument("--out", help="write .json and .csv reports to this base path")
     _add_io_flags(sp)
-    _add_config_flags(sp)
+    _add_divergence_flags(sp)
 
 
 def _reproduce_args(sp) -> None:

@@ -112,10 +112,6 @@ def generate_moons(config: MoonsConfig, domain: str = "source") -> Dataset:
                    feature_names=["x", "y"], label_name="label")
 
 
-def _is_content(line: str) -> bool:
-    return bool(line.strip()) and not line.lstrip().startswith("#")
-
-
 def _check_delimiter(delimiter) -> None:
     try:
         csv.reader((), delimiter=delimiter)
@@ -123,48 +119,41 @@ def _check_delimiter(delimiter) -> None:
         raise ContractViolation(f"load_delimited: bad delimiter {delimiter!r}: {err}") from None
 
 
-# A line, newline kept, whose first non-whitespace character is not '#': the
-# lines ``_is_content`` keeps. re's \s on str and str.strip() drop the same
-# characters, and a text-mode read leaves '\n' as the only line end.
+# A line, newline kept, whose first non-whitespace character is not '#': a
+# line that is neither blank nor a comment. re's \s on str and str.strip()
+# drop the same characters, and a text-mode read leaves '\n' as the only line end.
 _CONTENT_LINE = re.compile(r"^[^\S\n]*[^\s#].*(?:\n|\Z)", re.M)
 
 
-def _content_lines(path) -> list[str] | None:
-    """A UTF-8 file's lines that are neither blank nor '#' comments.
-
-    None when the file is not UTF-8: ``_content_rows`` then reads it lazily,
-    so the first fault in file order is the one reported.
-    """
+@contextlib.contextmanager
+def _reading(path):
+    """Report a file's decoding and csv faults as ContractViolation naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _CONTENT_LINE.findall(fh.read())
-    except UnicodeDecodeError:
-        return None
-
-
-def _content_rows(path, delimiter: str, lines: list[str] | None = None):
-    """csv rows of ``_content_lines(path)``, read from the file unless given."""
-    _check_delimiter(delimiter)
-    try:
-        if lines is None:
-            with open(path, "r", encoding="utf-8") as fh:
-                yield from csv.reader(filter(_is_content, fh), delimiter=delimiter)
-        else:
-            yield from csv.reader(lines, delimiter=delimiter)
+        yield
     except UnicodeDecodeError as err:
+        try:  # a lazy read counts the offset from its 8 KB chunk, a whole read from the file start
+            _content_lines(path)
+        except UnicodeDecodeError as whole:
+            err = whole
         raise ContractViolation(f"load_delimited: {path} is not UTF-8 text: {err}") from None
     except csv.Error as err:
         raise ContractViolation(f"load_delimited: {path}: {err}") from None
 
 
+def _content_lines(path) -> list[str]:
+    """A file's lines that are neither blank nor '#' comments, in one read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _CONTENT_LINE.findall(fh.read())
+
+
 def _row_lines(path, delimiter: str) -> list[int]:
-    """The 1-based file line each row of ``_content_rows`` starts on, header first.
+    """The 1-based file line each csv row of the content lines starts on, header first.
 
     Only error messages need these, so the file is read a second time rather
     than slowing every load with per-row bookkeeping.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        kept = [(number, line) for number, line in enumerate(fh, start=1) if _is_content(line)]
+        kept = [(n, line) for n, line in enumerate(fh, start=1) if _CONTENT_LINE.match(line)]
     reader = csv.reader((line for _, line in kept), delimiter=delimiter)
     starts, start = [], 0
     for _ in reader:  # a quoted cell may span lines
@@ -181,9 +170,10 @@ def _header(rows, path) -> list[str]:
 
 
 def read_header(path, delimiter: str = ",") -> list[str]:
-    """Column names of a delimited file, read as ``load_delimited`` reads them."""
-    with contextlib.closing(_content_rows(path, delimiter)) as rows:
-        return _header(rows, path)
+    """A delimited file's column names, read as ``load_delimited`` reads them, up to the header."""
+    _check_delimiter(delimiter)
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        return _header(csv.reader(filter(_CONTENT_LINE.match, fh), delimiter=delimiter), path)
 
 
 # Printable ASCII, tab and newline, without '"' or '_'. On a body of these
@@ -193,24 +183,15 @@ def read_header(path, delimiter: str = ",") -> list[str]:
 _PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if chr(c) not in '"_') + b"\t\n"
 
 
-def _plain_table(lines: list[str], delimiter: str, path):
-    """Header and float64 body of a file's content lines, parsed by ``np.loadtxt``.
+def _plain_table(body: list[str], delimiter: str, width: int):
+    """The float64 table of a file's body lines, parsed by ``np.loadtxt``.
 
     None when the body is not plain (see ``_PLAIN_BYTES``; the delimiter must
     not be whitespace and no line may be longer than the csv field limit),
-    there is no header or no body row, or the body does not parse into one
-    number per header column. The csv path then reads the lines and names
-    the fault.
+    has no row, or does not parse into ``width`` numbers per row. The csv
+    path then reads the lines and names the fault.
     """
-    if delimiter.isspace():
-        return None
-    reader = csv.reader(lines, delimiter=delimiter)
-    try:
-        header = _header(reader, path)
-    except (csv.Error, ContractViolation):
-        return None
-    body = lines[reader.line_num:]
-    if not body or max(map(len, body)) > csv.field_size_limit():
+    if delimiter.isspace() or not body or max(map(len, body)) > csv.field_size_limit():
         return None
     text = "".join(body)
     if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
@@ -220,9 +201,7 @@ def _plain_table(lines: list[str], delimiter: str, path):
                           dtype=np.float64, ndmin=2)
     except ValueError:
         return None
-    if data.shape != (len(body), len(header)):
-        return None
-    return header, data
+    return data if data.shape == (len(body), width) else None
 
 
 def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
@@ -236,18 +215,16 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
     (int64 when all values are integers inside the int64 range).
     """
     _check_delimiter(delimiter)
-    lines = _content_lines(path)
-    table = None if lines is None else _plain_table(lines, delimiter, path)
-    if table is None:
-        rows = _content_rows(path, delimiter, lines)
+    with _reading(path):
+        lines = _content_lines(path)
+        rows = csv.reader(lines, delimiter=delimiter)
         header = _header(rows, path)
-        body = list(rows)
-    else:
-        header, data = table
+        data = _plain_table(lines[rows.line_num:], delimiter, len(header))
+        body = None if data is not None else list(rows)  # csv faults before a missing label
     if label_column is not None and label_column not in header:
         raise ContractViolation(
             f"load_delimited: label column {label_column!r} not in header {header}")
-    if table is None:
+    if body is not None:
         data = _parse_body(body, header, path, delimiter)
     if label_column is None:
         return Dataset(data, None, domain=domain, feature_names=header)
@@ -273,23 +250,16 @@ def _parse_body(body, header, path, delimiter: str) -> np.ndarray:
         # numpy's str -> float64 cast accepts and rejects what float() does
         return np.array(body, dtype=np.float64).reshape(len(body), len(header))
     except ValueError:
-        _raise_first_bad_cell(body, header, _row_lines(path, delimiter))
+        lines = _row_lines(path, delimiter)
+        for r, row in enumerate(body, start=1):  # the first cell float() rejects, row-major
+            for c, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ContractViolation(
+                        f"load_delimited: line {lines[r]}, column {header[c]!r}: "
+                        f"cannot parse {cell!r} as a number") from None
         raise
-
-
-def _raise_first_bad_cell(body, header, lines) -> None:
-    """Name the first cell, in row-major order, that float() rejects.
-
-    ``lines`` are the file lines of the header and the body rows.
-    """
-    for r, row in enumerate(body, start=1):
-        for c, cell in enumerate(row):
-            try:
-                float(cell)
-            except ValueError:
-                raise ContractViolation(
-                    f"load_delimited: line {lines[r]}, column {header[c]!r}: "
-                    f"cannot parse {cell!r} as a number") from None
 
 
 def write_dataset(ds: Dataset, path, header_note: dict | None = None) -> None:

@@ -225,13 +225,16 @@ def load_params(path) -> ModelParams:
     """Read a checkpoint written by save_params."""
     with open(path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
-    if record.get("format") != _CHECKPOINT_FORMAT:
-        raise ContractViolation(
-            f"load_params: unsupported checkpoint format {record.get('format')!r}")
-    spec = LayerSpec(hidden=tuple(record["spec"]["hidden"]),
-                     task=record["spec"]["task"],
-                     n_classes=record["spec"]["n_classes"],
-                     activation=record["spec"]["activation"])
-    layers = [(np.array(l["w"], dtype=np.float64), np.array(l["b"], dtype=np.float64))
-              for l in record["layers"]]
-    return ModelParams(spec, int(record["input_dim"]), layers[:-1], tuple(layers[-1]))
+    try:
+        if record.get("format") != _CHECKPOINT_FORMAT:
+            raise ContractViolation(f"unsupported checkpoint format {record.get('format')!r}")
+        spec = LayerSpec(hidden=tuple(record["spec"]["hidden"]),
+                         task=record["spec"]["task"],
+                         n_classes=record["spec"]["n_classes"],
+                         activation=record["spec"]["activation"])
+        layers = [(np.array(l["w"], dtype=np.float64), np.array(l["b"], dtype=np.float64))
+                  for l in record["layers"]]
+        return ModelParams(spec, int(record["input_dim"]), layers[:-1], tuple(layers[-1]))
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as err:
+        # ContractViolation is a ValueError: a bad spec is named with the file too
+        raise ContractViolation(f"load_params: {path} is not a checkpoint: {err!r}") from None

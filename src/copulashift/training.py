@@ -235,12 +235,11 @@ def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node
         return ad.total(ad.mean_rows(ad.absolute(ad.sort_cols(fs) - ad.sort_cols(ft))))
     total = None
     for c in range(fs.shape[1]):
-        cs, ct = ad.take_cols(fs, [c]), ad.take_cols(ft, [c])
         if kind.kind == "mmd":
-            term = ad.sqrt(dv.mmd_squared_graph(cs, ct, kind.bandwidths))
-        else:  # histogram KL: constant w.r.t. the features
-            term = ad.constant(dv.kl_histogram_1d(
-                cs.value.ravel(), ct.value.ravel(), kind.bins))
+            term = ad.sqrt(dv.mmd_squared_graph(ad.take_cols(fs, [c]), ad.take_cols(ft, [c]),
+                                                kind.bandwidths))
+        else:  # histogram KL: constant w.r.t. the features, so read from the values
+            term = ad.constant(dv.kl_histogram_1d(fs.value[:, c], ft.value[:, c], kind.bins))
         total = term if total is None else total + term
     return total
 

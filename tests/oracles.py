@@ -5,8 +5,9 @@ checker, the O(N^2) Kendall tau, the Monte-Carlo integrator for the closed
 forms (with Acklam's inverse normal CDF), the hand-derived gradient of the
 KL copula distance, the analytic Gaussian KLs, the graph composite the
 fused smoothed-tau node replaced, the row reductions and the CORAL
-centering that the column-at-a-time forms replaced, and the tie loop of
-the Mann-Whitney AUC.
+centering that the column-at-a-time forms replaced, the tie loop of the
+Mann-Whitney AUC, and the per-line test the loader's content-line regex
+replaced.
 """
 
 from typing import Callable, Sequence
@@ -88,6 +89,11 @@ def auc_tie_loop(scores, labels) -> float:
     pos_rank_sum = ranks[order.argsort()[:pos.size]].sum()
     u = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
+
+
+def is_content_line(line: str) -> bool:
+    """Whether the loader keeps a line: neither blank nor a '#' comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
 
 
 def finite_difference_check(loss_builder: Callable[..., ad.Node],

@@ -61,6 +61,10 @@ _MIN_ARGV = {"moons-gen": ["--out", "m.csv"], "train": ["--source", "s", "--targ
              "eval": ["--checkpoint", "c", "--data", "d"], "shift-report": ["a", "b"],
              "reproduce": ["table3"], "fetch-wine": []}
 _VERB_NAMES = [name for name, *_ in cli._VERBS]
+# a one-unit regression checkpoint on two inputs, as save_params writes it
+_CKPT = {"format": "copulashift-params-v1", "input_dim": 2,
+         "spec": {"hidden": [1], "task": "regression", "n_classes": None, "activation": "relu"},
+         "layers": [{"w": [[1.0], [0.5]], "b": [[0.0]]}, {"w": [[1.0]], "b": [[0.0]]}]}
 
 
 def parse_exit(parse, argv, capsys):
@@ -227,6 +231,20 @@ class TestTrainEval:
         assert code == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record, message", [
+        ([], "load_params: CKPT is not a checkpoint"),
+        ({"format": _CKPT["format"]}, "load_params: CKPT is not a checkpoint"),
+        ({**_CKPT, "layers": [{"w": [["x"], ["y"]], "b": [[0.0]]}, _CKPT["layers"][1]]},
+         "load_params: CKPT is not a checkpoint"),
+        ({**_CKPT, "extra": []}, "eval: CKPT has a non-object 'extra' entry"),
+    ], ids=["list", "format-only", "non-numeric-weight", "extra-not-object"])
+    def test_malformed_checkpoint_exits_usage(self, tmp_path, capsys, record, message):
+        ckpt = tmp_path / "bad.ckpt.json"
+        ckpt.write_text(json.dumps(record))
+        tgt = make_regression_csv(tmp_path, "t.csv", seed=0)
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", tgt) == cli.EXIT_USAGE
+        assert "error: " + message.replace("CKPT", str(ckpt)) in capsys.readouterr().err
+
     def test_malformed_config_file_exits_usage(self, tmp_path, capsys):
         src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
         broken = tmp_path / "broken.json"
@@ -319,6 +337,14 @@ class TestShiftReport:
         code = run_cli("shift-report", data, empty)
         assert code == cli.EXIT_USAGE
         assert f"error: shift-report: {empty} has no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "1"), ("--alpha", "0.1"), ("--lambda", "0.3"), ("--lr", "0.01"),
+        ("--epochs", "5"), ("--batch", "64"), ("--method", "coral")])
+    def test_training_only_flags_exit_usage(self, flag, value, capsys):
+        code, streams = parse_exit(cli.main, ["shift-report", "a", "b", flag, value], capsys)
+        assert code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {flag} {value}" in streams.err
 
     def test_out_writes_json_and_csv(self, tmp_path, capsys):
         data = make_moons_csv(tmp_path, "a.csv", stretch=2, seed=5)

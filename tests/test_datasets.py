@@ -14,6 +14,7 @@ from copulashift.datasets import (Dataset, MinMaxStats, MoonsConfig,
                                   load_delimited, minmax_normalize,
                                   read_header, write_dataset)
 from copulashift.errors import ContractViolation
+from oracles import is_content_line
 
 
 class TestDataset:
@@ -168,8 +169,7 @@ class TestDelimitedRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "round.csv"
             write_dataset(ds, path, header_note=note)
-            lines = datasets._content_lines(path)
-            assert datasets._plain_table(lines, ",", path) is not None  # the C reader's path
+            assert _takes_plain_path(path, ",")
             back = load_delimited(path, label_column="quality")
         assert back.features.tobytes() == ds.features.tobytes()  # -0.0 keeps its sign
         assert back.labels.dtype == ds.labels.dtype
@@ -278,6 +278,24 @@ class TestDelimitedBoundary:
         with pytest.raises(ContractViolation, match="huge.csv"):
             load_delimited(path)
 
+    # a comment fills the first 8 KB, so a lazy read meets the fault in a later chunk
+    _LATE = "# " + "x" * 9000 + "\n"
+
+    @pytest.mark.parametrize("content, message", [
+        ((_LATE + "a,b").encode() + b"\xe9,c\n1,2,3\n",
+         f"is not UTF-8 text: .* byte 0xe9 in position {len(_LATE) + 3}: "),
+        ((_LATE + "a," + "b" * (csv.field_size_limit() + 1) + "\n1,2\n").encode(),
+         r"late.csv: field larger than field limit"),
+    ], ids=["non-utf8-byte", "header-field-past-the-csv-limit"])
+    def test_read_header_and_loader_name_a_fault_alike(self, tmp_path, content, message):
+        path = tmp_path / "late.csv"
+        path.write_bytes(content)
+        with pytest.raises(ContractViolation, match=message) as from_header:
+            read_header(path)
+        with pytest.raises(ContractViolation) as from_loader:
+            load_delimited(path)
+        assert str(from_header.value) == str(from_loader.value)
+
     def test_read_header_matches_loader(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text('# note\n\n "a" ;b;quality\n1;2;3\n')
@@ -287,6 +305,14 @@ class TestDelimitedBoundary:
         empty.write_text("# only a note\n")
         with pytest.raises(ContractViolation, match="no header row"):
             read_header(empty)
+
+
+def _takes_plain_path(path, delimiter) -> bool:
+    """Whether load_delimited reads the file's body with the C reader."""
+    lines = datasets._content_lines(path)
+    rows = csv.reader(lines, delimiter=delimiter)
+    width = len(next(rows))
+    return datasets._plain_table(lines[rows.line_num:], delimiter, width) is not None
 
 
 def _load_outcome(path, delimiter, label_column):
@@ -327,8 +353,7 @@ class TestPlainReader:
     def test_reader_takes_only_plain_bodies(self, tmp_path, text, delimiter, plain):
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode("utf-8"))
-        lines = datasets._content_lines(path)
-        assert (datasets._plain_table(lines, delimiter, path) is not None) == plain
+        assert _takes_plain_path(path, delimiter) == plain
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n_cols=st.integers(1, 4), n_rows=st.integers(0, 5),
@@ -360,8 +385,8 @@ class TestPlainReader:
             path = Path(tmp) / "cells.csv"
             path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
             got = _load_outcome(path, delimiter, label)
-            # the csv path alone, reading the file lazily as it always has
-            with mock.patch.object(datasets, "_content_lines", return_value=None):
+            # the csv path alone, as for a file the C reader declines
+            with mock.patch.object(datasets, "_plain_table", return_value=None):
                 want = _load_outcome(path, delimiter, label)
         assert got == want
 
@@ -380,7 +405,7 @@ class TestContentLines:
             path = Path(tmp) / "lines.csv"
             path.write_bytes("".join(pieces).encode("utf-8"))
             with open(path, "r", encoding="utf-8") as fh:
-                want = [line for line in fh if datasets._is_content(line)]
+                want = [line for line in fh if is_content_line(line)]
             assert datasets._content_lines(path) == want
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +192,23 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ContractViolation):
+            load_params(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: [],
+        lambda r: {"format": r["format"]},
+        lambda r: {**r, "layers": [{**r["layers"][0], "w": [["x"] * 4] * 2}, *r["layers"][1:]]},
+        lambda r: {**r, "layers": []},
+        lambda r: {**r, "spec": [4]},
+        lambda r: {**r, "input_dim": float("inf")},
+    ], ids=["list", "format-only", "non-numeric-weight", "no-layers", "spec-not-object",
+            "infinite-input-dim"])
+    def test_malformed_checkpoint_named(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt.json"
+        save_params(init_params(LayerSpec(hidden=(4,)), 2, seed=0), path)
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(record)))
+        with pytest.raises(ContractViolation, match=f"load_params: {path} is not a checkpoint"):
             load_params(path)
 
     def test_copy_is_deep(self):
