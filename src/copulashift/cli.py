@@ -18,6 +18,7 @@ completed (a ``.partial`` results file is written).
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -31,7 +32,7 @@ from .datasets import (Dataset, MinMaxStats, MoonsConfig, generate_moons,
                        load_delimited, read_header, write_dataset)
 from .divergences import H1_TAGS
 from .errors import ContractViolation
-from .models import load_params, save_params
+from .models import load_checkpoint, save_params
 from .training import (METHODS, TrainConfig, evaluate_classification,
                        evaluate_regression, shift_report, train)
 
@@ -48,49 +49,37 @@ def _say(msg: str) -> None:
 # --- config plumbing --------------------------------------------------------
 
 
-def _flag_overrides(args) -> dict:
-    """Collect config fields set on the command line (flags beat --config)."""
-    mapping = {"method": "method", "alpha": "alpha", "beta": "beta",
-               "lambda_": "lambda_", "lr": "learning_rate",
-               "epochs": "max_epochs", "batch": "batch_size", "seed": "seed",
-               "h1": "h1", "h2": "h2", "tanh_a": "tanh_a"}
-    out = {}
-    for flag, name in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[name] = value
-    return out
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
-def _resolve_config(args, model_hint: dict | None = None) -> TrainConfig:
-    """Layer config file < flags < model hint over the defaults."""
+def _resolve_config(args, **defaults) -> TrainConfig:
+    """Layer the verb's defaults < the --config file < flags into one config.
+
+    Flags store under their TrainConfig field names; ``--hidden``/``--task``
+    under ``model``. A dict merges key by key over a dict below it.
+    """
     data = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ContractViolation(f"--config must hold a JSON object, got {data!r}")
-    data.update(_flag_overrides(args))
-    model = data.get("model") or {}
-    if not isinstance(model, dict):
-        raise ContractViolation(f"TrainConfig: model must be a dict, got {model!r}")
-    model = dict(model)
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
+    model = {"task": args.task} if getattr(args, "task", None) else {}
     if getattr(args, "hidden", None):
         try:
-            model["hidden"] = [int(t) for t in str(args.hidden).split(",") if t.strip()]
+            model["hidden"] = [int(t) for t in args.hidden.split(",") if t.strip()]
         except ValueError:
             raise ContractViolation(
                 f"--hidden must be comma-separated integers, got {args.hidden!r}") from None
-    if getattr(args, "task", None):
-        model["task"] = args.task
-    if model_hint:
-        model.setdefault("task", model_hint.get("task", "classification"))
-        if model["task"] == "classification" and "n_classes" in model_hint:
-            model.setdefault("n_classes", model_hint["n_classes"])
     if model:
-        model.setdefault("hidden", list(TrainConfig().model.hidden))
-        data["model"] = model
-    return TrainConfig.from_dict(data)
+        flags["model"] = model
+    merged = {"model": {"hidden": list(TrainConfig().model.hidden)}}
+    for name, value in [*defaults.items(), *data.items(), *flags.items()]:
+        below = merged.get(name)
+        both = isinstance(below, dict) and isinstance(value, dict)
+        merged[name] = {**below, **value} if both else value
+    return TrainConfig.from_dict(merged)
 
 
 def _load_maybe_labeled(verb: str, path, delimiter: str, label_column: str,
@@ -132,20 +121,15 @@ def cmd_train(args) -> int:
             f"train: {args.source} has no {args.label_column!r} column")
     target = _load_maybe_labeled("train", args.target, args.delimiter,
                                  args.label_column, "target")
-    hint = {}
     if np.issubdtype(source.labels.dtype, np.integer):
-        hint = {"task": "classification",
-                "n_classes": max(2, int(source.labels.max()) + 1)}
+        model = {"task": "classification",
+                 "n_classes": max(2, int(source.labels.max()) + 1)}
     else:
-        hint = {"task": "regression"}
-    config = _resolve_config(args, model_hint=hint)
+        model = {"task": "regression"}
+    config = _resolve_config(args, model=model)
     params, trace = train(source, target.unlabeled(), config)
 
-    base = Path(args.out)
-    while base.suffix in (".json", ".ckpt", ".trace"):
-        base = base.with_suffix("")
-    ckpt_path = base.with_suffix(".ckpt.json")
-    trace_path = base.with_suffix(".trace.json")
+    ckpt_path, trace_path = ex.out_paths(args.out, ".ckpt.json", ".trace.json")
     resolved = {"config": config.to_dict(), "source": str(args.source),
                 "target": str(args.target)}
     save_params(params, ckpt_path, extra=resolved)
@@ -156,9 +140,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params = load_params(args.checkpoint)
-    with open(args.checkpoint, "r", encoding="utf-8") as fh:
-        extra = json.load(fh).get("extra", {})
+    params, record = load_checkpoint(args.checkpoint)
+    extra = record.get("extra", {})
     if not isinstance(extra, dict):
         raise ContractViolation(f"eval: {args.checkpoint} has a non-object 'extra' entry")
     ds = _load_maybe_labeled("eval", args.data, args.delimiter,
@@ -189,13 +172,13 @@ def cmd_shift_report(args) -> int:
                             args.label_column, "source")
     b = _load_maybe_labeled("shift-report", args.b, args.delimiter,
                             args.label_column, "target")
-    config = _resolve_config(args)
-    beta = 1.0 if args.beta is None else args.beta
-    rep = shift_report(a, b, config.h1, config.h2, beta=beta, tanh_a=config.tanh_a)
+    config = _resolve_config(args, beta=1.0)
+    rep = shift_report(a, b, config.h1, config.h2, beta=config.beta,
+                       tanh_a=config.tanh_a)
     doc = {**rep.to_dict(),
            "a": str(args.a), "b": str(args.b),
            "h1": config.h1.kind, "h2": config.h2.tag,
-           "tanh_a": config.tanh_a, "beta": beta}
+           "tanh_a": config.tanh_a, "beta": config.beta}
     print(json.dumps(doc, indent=2, sort_keys=True))
 
     buf = io.StringIO()
@@ -207,12 +190,10 @@ def cmd_shift_report(args) -> int:
         writer.writerow(["cd", repr(rep.cd)])
     print(buf.getvalue(), end="")
     if args.out:
-        base = Path(args.out)
-        if base.suffix in (".json", ".csv"):
-            base = base.with_suffix("")
-        _write_json(doc, base.with_suffix(".json"))
-        base.with_suffix(".csv").write_text(buf.getvalue(), encoding="utf-8")
-        _say(f"wrote {base.with_suffix('.json')} and {base.with_suffix('.csv')}")
+        json_path, csv_path = ex.out_paths(args.out, ".json", ".csv")
+        _write_json(doc, json_path)
+        csv_path.write_text(buf.getvalue(), encoding="utf-8")
+        _say(f"wrote {json_path} and {csv_path}")
     return EXIT_OK
 
 
@@ -299,9 +280,9 @@ def _train_args(sp) -> None:
     sp.add_argument("--alpha", type=float, help="marginal regularizer weight")
     sp.add_argument("--lambda", dest="lambda_", type=float,
                     help="baseline (dan/coral) regularizer weight")
-    sp.add_argument("--lr", type=float, help="Adam learning rate")
-    sp.add_argument("--epochs", type=int, help="maximum epochs")
-    sp.add_argument("--batch", type=int, help="batch size")
+    sp.add_argument("--lr", dest="learning_rate", type=float, help="Adam learning rate")
+    sp.add_argument("--epochs", dest="max_epochs", type=int, help="maximum epochs")
+    sp.add_argument("--batch", dest="batch_size", type=int, help="batch size")
     sp.add_argument("--method", choices=METHODS, help="training objective")
 
 

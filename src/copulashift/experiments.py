@@ -21,7 +21,7 @@ checksum sidecar that later loads verify.
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .copula import H2_TAGS
@@ -121,9 +121,7 @@ class ExperimentTable:
     meta: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "columns": self.columns, "rows": self.rows,
-                "meta": self.meta, "reports": self.reports}
+    to_dict = asdict
 
     def cell(self, label: str, column: str) -> dict:
         for row in self.rows:
@@ -408,14 +406,23 @@ def run_wine_divergence_comparison(grid=COMPARISON_GRID,
                            n_seeds, data_dir, progress)
 
 
+def out_paths(out_path, *suffixes: str) -> list[Path]:
+    """``out_path`` less any trailing parts of ``suffixes``, plus each suffix.
+
+    Only the verb's own suffixes are stripped, and each new one is appended
+    (not set by with_suffix), so dotted bases like "run.v2" or "t.partial"
+    keep their names.
+    """
+    own = {"." + part for s in suffixes for part in s.split(".") if part}
+    base = Path(out_path)
+    while base.suffix in own:
+        base = base.with_suffix("")
+    return [base.with_name(base.name + s) for s in suffixes]
+
+
 def write_table(table: ExperimentTable, out_path) -> tuple[Path, Path]:
     """Write <out>.md and <out>.json for a finished table."""
-    base = Path(out_path)
-    if base.suffix in (".md", ".json"):
-        base = base.with_suffix("")
-    # append (not with_suffix) so dotted bases like "t.partial" survive
-    md_path = base.with_name(base.name + ".md")
-    json_path = base.with_name(base.name + ".json")
+    md_path, json_path = out_paths(out_path, ".md", ".json")
     md_path.write_text(render_markdown(table) + "\n", encoding="utf-8")
     json_path.write_text(json.dumps(table.to_dict(), indent=2, sort_keys=True)
                          + "\n", encoding="utf-8")

@@ -221,8 +221,8 @@ def save_params(params: ModelParams, path, extra: dict | None = None) -> None:
         json.dump(record, fh)
 
 
-def load_params(path) -> ModelParams:
-    """Read a checkpoint written by save_params."""
+def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Read a checkpoint written by save_params: its params and whole record."""
     with open(path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
     try:
@@ -234,7 +234,13 @@ def load_params(path) -> ModelParams:
                          activation=record["spec"]["activation"])
         layers = [(np.array(l["w"], dtype=np.float64), np.array(l["b"], dtype=np.float64))
                   for l in record["layers"]]
-        return ModelParams(spec, int(record["input_dim"]), layers[:-1], tuple(layers[-1]))
+        params = ModelParams(spec, int(record["input_dim"]), layers[:-1], tuple(layers[-1]))
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as err:
         # ContractViolation is a ValueError: a bad spec is named with the file too
         raise ContractViolation(f"load_params: {path} is not a checkpoint: {err!r}") from None
+    return params, record
+
+
+def load_params(path) -> ModelParams:
+    """Read the params of a checkpoint written by save_params."""
+    return load_checkpoint(path)[0]

@@ -33,42 +33,30 @@ METHODS = ("mlp", "dan", "coral", "cdan")
 _MOONS_SPEC = LayerSpec(hidden=(8, 4), task="classification", n_classes=2)
 
 
-def _nested_dict(name: str, value, required: str, alternative: str) -> dict:
+# nested config field -> (its class, the key every dict form of it carries)
+_NESTED = {"h1": (dv.DivergenceKind, "kind"), "h2": (cop.DependenceKind, "tag"),
+           "model": (LayerSpec, "hidden")}
+
+
+def _nested_from(name: str, value):
+    """An instance, a bare tag string or a dict as the class of field ``name``.
+
+    Dict keys the class lacks are ignored, so older dicts (an ``h2`` with
+    "alpha" and "mc_samples") still load.
+    """
+    cls, required = _NESTED[name]
+    if isinstance(value, cls):
+        return value
+    if isinstance(value, str):
+        value = {required: value}
     if not isinstance(value, dict):
         raise ContractViolation(
-            f"TrainConfig: {name} must be {alternative} or a dict, got {value!r}")
+            f"TrainConfig: {name} must be a tag string, a {cls.__name__} or a dict, "
+            f"got {value!r}")
     if required not in value:
         raise ContractViolation(
             f"TrainConfig: {name} needs the key {required!r}, got keys {sorted(value)}")
-    return value
-
-
-def _h1_from(value) -> dv.DivergenceKind:
-    if isinstance(value, dv.DivergenceKind):
-        return value
-    if isinstance(value, str):
-        value = {"kind": value}
-    value = _nested_dict("h1", value, "kind", "a tag string")
-    return dv.DivergenceKind(kind=value["kind"], bandwidths=value.get("bandwidths"),
-                             bins=value.get("bins", 32))
-
-
-def _h2_from(value) -> cop.DependenceKind:
-    if isinstance(value, cop.DependenceKind):
-        return value
-    if isinstance(value, str):
-        return cop.DependenceKind(value)
-    # older dicts also carry "alpha" (always null) and "mc_samples": ignored
-    return cop.DependenceKind(tag=_nested_dict("h2", value, "tag", "a tag string")["tag"])
-
-
-def _model_from(value) -> LayerSpec:
-    if isinstance(value, LayerSpec):
-        return value
-    value = _nested_dict("model", value, "hidden", "a LayerSpec")
-    return LayerSpec(hidden=value["hidden"], task=value.get("task", "classification"),
-                     n_classes=value.get("n_classes", 2),
-                     activation=value.get("activation", "relu"))
+    return cls(**{f.name: value[f.name] for f in dataclasses.fields(cls) if f.name in value})
 
 
 @dataclass(frozen=True)
@@ -132,37 +120,25 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         """Plain-JSON form: nested kinds become dicts, tuples become lists."""
-        d = asdict(self)
-        bw = self.h1.bandwidths
-        d["h1"] = {"kind": self.h1.kind,
-                   "bandwidths": None if bw is None else list(bw),
-                   "bins": self.h1.bins}
-        d["h2"] = {"tag": self.h2.tag}
-        d["model"] = {"hidden": list(self.model.hidden), "task": self.model.task,
-                      "n_classes": self.model.n_classes,
-                      "activation": self.model.activation}
-        return d
+        return asdict(self, dict_factory=lambda items: {
+            k: list(v) if isinstance(v, tuple) else v for k, v in items})
 
     @classmethod
     def from_dict(cls, data: dict, base: "TrainConfig | None" = None) -> "TrainConfig":
         """Rebuild a config from to_dict output, layered over ``base``.
 
-        Missing keys keep the base (or default) value. ``h1``/``h2`` accept
-        the serialized dicts, plain tag strings ("w1", "chi2", ...), or
-        kind instances; ``model`` accepts a dict or a LayerSpec.
+        Missing keys keep the base (or default) value. ``h1``, ``h2`` and
+        ``model`` each accept an instance, a bare tag string ("w1", "chi2",
+        ...) or a dict that carries the key ``_NESTED`` names.
         """
         src = base if base is not None else cls()
         kwargs = {f.name: getattr(src, f.name) for f in dataclasses.fields(cls)}
-        simple = set(kwargs) - {"h1", "h2", "model"}
         unknown = set(data) - set(kwargs)
         if unknown:
             raise ContractViolation(
                 f"TrainConfig.from_dict: unknown fields {sorted(unknown)}")
-        for name in simple & set(data):
-            kwargs[name] = data[name]
-        for name, parse in (("h1", _h1_from), ("h2", _h2_from), ("model", _model_from)):
-            if name in data:
-                kwargs[name] = parse(data[name])
+        for name, value in data.items():
+            kwargs[name] = _nested_from(name, value) if name in _NESTED else value
         return cls(**kwargs)
 
 
@@ -174,9 +150,7 @@ class TraceEntry:
     cd: float
     val: float | None
 
-    def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "loss": self.loss, "md": self.md,
-                "cd": self.cd, "val": self.val}
+    to_dict = asdict
 
 
 class Adam:
@@ -442,10 +416,7 @@ class MetricsReport:
     aggregate: dict
     trace: list
 
-    def to_dict(self) -> dict:
-        return {"task": self.task, "method": self.method, "config": self.config,
-                "per_seed": self.per_seed, "aggregate": self.aggregate,
-                "trace": self.trace}
+    to_dict = asdict
 
 
 def mean_std(values) -> dict:
@@ -532,9 +503,7 @@ class ShiftReport:
     cd: float | None
     feature_names: list
 
-    def to_dict(self) -> dict:
-        return {"md_per_feature": self.md_per_feature, "cd": self.cd,
-                "feature_names": self.feature_names}
+    to_dict = asdict
 
 
 def shift_report(a: Dataset, b: Dataset, h1: dv.DivergenceKind,

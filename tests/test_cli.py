@@ -1,4 +1,8 @@
+import argparse
+import builtins
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +65,17 @@ _MIN_ARGV = {"moons-gen": ["--out", "m.csv"], "train": ["--source", "s", "--targ
              "eval": ["--checkpoint", "c", "--data", "d"], "shift-report": ["a", "b"],
              "reproduce": ["table3"], "fetch-wine": []}
 _VERB_NAMES = [name for name, *_ in cli._VERBS]
+# every config flag: (flag, a non-default value, its path in to_dict, the value there)
+_CONFIG_FLAGS = [
+    ("--beta", "0.2", ("beta",), 0.2), ("--h1", "kl", ("h1", "kind"), "kl"),
+    ("--h2", "w2", ("h2", "tag"), "w2"), ("--tanh-a", "50", ("tanh_a",), 50.0),
+    ("--seed", "1", ("seed",), 1), ("--alpha", "0.1", ("alpha",), 0.1),
+    ("--lambda", "0.3", ("lambda_",), 0.3), ("--lr", "0.02", ("learning_rate",), 0.02),
+    ("--epochs", "5", ("max_epochs",), 5), ("--batch", "64", ("batch_size",), 64),
+    ("--method", "coral", ("method",), "coral"),
+    ("--hidden", "6,3", ("model", "hidden"), [6, 3]),
+    ("--task", "regression", ("model", "task"), "regression")]
+_CONFIG_FLAGS_OF = {"train": _CONFIG_FLAGS, "shift-report": _CONFIG_FLAGS[:4]}
 # a one-unit regression checkpoint on two inputs, as save_params writes it
 _CKPT = {"format": "copulashift-params-v1", "input_dim": 2,
          "spec": {"hidden": [1], "task": "regression", "n_classes": None, "activation": "relu"},
@@ -86,6 +101,24 @@ class TestParser:
             alone = parse_exit(cli.build_parser(verb).parse_args, argv, capsys)
             assert alone == parse_exit(cli.build_parser().parse_args, argv, capsys)
             assert alone[0] == 0 and alone[1].out.startswith("usage: copulashift")
+
+    @pytest.mark.parametrize("verb", sorted(_CONFIG_FLAGS_OF))
+    def test_config_flag_table_lists_every_config_flag(self, verb):
+        sp = argparse.ArgumentParser()
+        {name: add for name, _, add, _ in cli._VERBS}[verb](sp)
+        options = {o for action in sp._actions for o in action.option_strings}
+        not_config = {"-h", "--help", "--source", "--target", "--out", "--delimiter",
+                      "--label-column", "--config"}
+        assert options - not_config == {flag for flag, *_ in _CONFIG_FLAGS_OF[verb]}
+
+    @pytest.mark.parametrize("verb, flag, value, path, expected", [
+        (verb, *row) for verb, rows in sorted(_CONFIG_FLAGS_OF.items()) for row in rows])
+    def test_every_config_flag_reaches_its_field(self, verb, flag, value, path, expected):
+        args = cli.build_parser(verb).parse_args([verb, *_MIN_ARGV[verb], flag, value])
+        got = cli._resolve_config(args).to_dict()
+        for key in path:
+            got = got[key]
+        assert got == expected
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "1"], ["Train"]])
     def test_missing_or_unknown_verb_is_one_usage_error(self, argv, capsys):
@@ -174,6 +207,17 @@ class TestTrainEval:
         assert conf["beta"] == 0.2    # file survives where no flag given
         assert conf["max_epochs"] == 4
 
+    def test_dotted_out_base_keeps_its_name(self, tmp_path, capsys):
+        src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
+        for out, written in (("run.v2", "run.v2"), ("model.ckpt.json", "model")):
+            assert run_cli("train", "--source", src, "--target", src, "--epochs", 1,
+                           "--out", tmp_path / out) == cli.EXIT_OK
+            for suffix in (".ckpt.json", ".trace.json"):
+                assert (tmp_path / (written + suffix)).exists()
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == [
+            "model.ckpt.json", "model.trace.json", "run.v2.ckpt.json", "run.v2.trace.json"]
+        capsys.readouterr()
+
     def test_lambda_and_method_flags_reach_config(self, tmp_path):
         src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
         tgt = make_moons_csv(tmp_path, "tgt.csv", stretch=3, seed=2)
@@ -245,6 +289,23 @@ class TestTrainEval:
         assert run_cli("eval", "--checkpoint", ckpt, "--data", tgt) == cli.EXIT_USAGE
         assert "error: " + message.replace("CKPT", str(ckpt)) in capsys.readouterr().err
 
+    def test_eval_reads_the_checkpoint_once(self, tmp_path, monkeypatch, capsys):
+        ckpt = tmp_path / "m.ckpt.json"
+        ckpt.write_text(json.dumps({**_CKPT, "extra": {"config": {"seed": 4}}}))
+        tgt = make_regression_csv(tmp_path, "t.csv", seed=0)
+        opened, real_open = [], io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", tgt) == cli.EXIT_OK
+        assert opened.count(str(ckpt)) == 1
+        assert json.loads(capsys.readouterr().out)["config"] == {"seed": 4}
+
     def test_malformed_config_file_exits_usage(self, tmp_path, capsys):
         src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
         broken = tmp_path / "broken.json"
@@ -305,6 +366,30 @@ class TestShiftReport:
         doc2, _ = split_json_and_csv(capsys.readouterr().out)
         np.testing.assert_allclose(doc2["cd"], 2.0 * doc1["cd"], rtol=1e-12)
 
+    def test_config_layers_under_flags(self, tmp_path, capsys):
+        a = make_moons_csv(tmp_path, "a.csv", stretch=1, seed=5, n=150)
+        b = make_moons_csv(tmp_path, "b.csv", stretch=4, seed=6, n=150)
+        cfg = tmp_path / "cfg.json"
+
+        def report(*argv):
+            assert run_cli("shift-report", a, b, *argv) == cli.EXIT_OK
+            return split_json_and_csv(capsys.readouterr().out)[0]
+
+        plain = report()
+        assert plain["beta"] == 1.0  # no file and no flag: the verb's default
+        cfg.write_text(json.dumps({"beta": 2.5}))
+        from_file = report("--config", cfg)
+        assert from_file["beta"] == 2.5
+        np.testing.assert_allclose(from_file["cd"], 2.5 * plain["cd"], rtol=1e-12)
+        cfg.write_text(json.dumps({"beta": 2.5, "h1": "kl", "h2": "w2", "tanh_a": 7.0}))
+        assert {k: report("--config", cfg)[k] for k in ("beta", "h1", "h2", "tanh_a")} == {
+            "beta": 2.5, "h1": "kl", "h2": "w2", "tanh_a": 7.0}
+        both = report("--config", cfg, "--beta", 0.5, "--h1", "mmd", "--h2", "chi2",
+                      "--tanh-a", 50)
+        assert {k: both[k] for k in ("beta", "h1", "h2", "tanh_a")} == {
+            "beta": 0.5, "h1": "mmd", "h2": "chi2", "tanh_a": 50.0}
+        assert both == report("--beta", 0.5, "--h1", "mmd", "--h2", "chi2", "--tanh-a", 50)
+
     def test_label_column_found_with_the_given_delimiter(self, tmp_path, capsys):
         data = tmp_path / "wine.csv"
         data.write_text("# note\nx;y;quality\n0.1;1.0;5\n0.4;0.2;6\n"
@@ -355,6 +440,12 @@ class TestShiftReport:
         assert written == doc
         csv_text = (tmp_path / "report.csv").read_text()
         assert csv_text.startswith("quantity,value")
+
+    def test_dotted_out_base_keeps_its_name(self, tmp_path, capsys):
+        data = make_moons_csv(tmp_path, "a.csv", stretch=2, seed=5)
+        assert run_cli("shift-report", data, data, "--out", tmp_path / "rep.v2") == cli.EXIT_OK
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.glob("rep*")) == ["rep.v2.csv", "rep.v2.json"]
 
 
 def canned_table():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import urllib.error
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +121,14 @@ class TestExperimentTable:
         loaded = json.loads(js.read_text())
         assert loaded == self._table().to_dict()
         assert md.read_text().startswith("| thing | c1 |")
+
+    @pytest.mark.parametrize("out, base", [
+        ("run", "run"), ("run.v2", "run.v2"), ("t.partial", "t.partial"),
+        ("model.ckpt.json", "model"), ("model.trace", "model"), ("model.json", "model"),
+        ("run.v2.ckpt.json", "run.v2"), ("d/x.md", "d/x.md")])
+    def test_out_paths_strip_only_own_suffixes(self, out, base):
+        assert ex.out_paths(out, ".ckpt.json", ".trace.json") == [
+            Path(base + ".ckpt.json"), Path(base + ".trace.json")]
 
     def test_aggregate_helper(self):
         agg = mean_std([1.0, 2.0, 3.0])

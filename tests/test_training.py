@@ -172,6 +172,18 @@ class TestTrainConfig:
                 TrainConfig.from_dict({"h2": {"tag": tag, "alpha": 0.5,
                                               "mc_samples": 1_000_000}})
 
+    @pytest.mark.parametrize("name, instance, required", [
+        ("h1", dv.DivergenceKind("mmd", bandwidths=(0.5,)), "kind"),
+        ("h2", cop.DependenceKind("w2"), "tag"),
+        ("model", LayerSpec(hidden=(3, 2), task="regression"), "hidden")])
+    def test_nested_fields_share_one_rule(self, name, instance, required):
+        assert getattr(TrainConfig.from_dict({name: instance}), name) is instance
+        as_dict = {**TrainConfig.from_dict({name: instance}).to_dict()[name], "extra": 1}
+        assert getattr(TrainConfig.from_dict({name: as_dict}), name) == instance
+        del as_dict[required]
+        with pytest.raises(ContractViolation, match=f"{name} needs the key '{required}'"):
+            TrainConfig.from_dict({name: as_dict})
+
     def test_from_dict_rejects_bad_tags(self):
         with pytest.raises(ContractViolation, match="h2 must be one of"):
             TrainConfig.from_dict({"h2": "js"})
