@@ -117,7 +117,7 @@ class Node:
         return matmul(self, other)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
 
 def leaf(values) -> Node:
@@ -192,11 +192,6 @@ def div(a, b) -> Node:
                            _unbroadcast(-g * a.value / (b.value * b.value), b.shape)))
 
 
-def neg(a) -> Node:
-    a = constant(a)
-    return Node(_seal(-a.value), "neg", (a,), lambda g: (-g,))
-
-
 def matmul(a, b) -> Node:
     a, b = constant(a), constant(b)
     if a.shape[1] != b.shape[0]:
@@ -206,12 +201,6 @@ def matmul(a, b) -> Node:
                 lambda g: (g @ b.value.T, a.value.T @ g))
 
 
-def transpose(a) -> Node:
-    a = constant(a)
-    out = _seal(np.ascontiguousarray(a.value.T))
-    return Node(out, "transpose", (a,), lambda g: (np.ascontiguousarray(g.T),))
-
-
 def add_bias(x, b) -> Node:
     """Add a (1, m) bias row to every row of an (n, m) matrix."""
     x, b = constant(x), constant(b)
@@ -219,6 +208,37 @@ def add_bias(x, b) -> Node:
         raise ShapeError("add_bias", x.shape, b.shape)
     out = _seal(x.value + b.value)
     return Node(out, "add_bias", (x, b), lambda g: (g, _column_sums(g)))
+
+
+def dense(x, w, b, activation=None) -> Node:
+    """One layer ``act(x @ w + b)`` as a single node; ``activation`` is None, "relu" or "tanh".
+
+    It replays ``matmul``, ``add_bias`` and the activation op for op, so its
+    value and gradients have the bits of those three nodes.
+    """
+    x, w, b = constant(x), constant(w), constant(b)
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError("dense", x.shape, w.shape)
+    if b.shape != (1, w.shape[1]):
+        raise ShapeError("dense", (x.shape[0], w.shape[1]), b.shape)
+    if activation not in (None, "relu", "tanh"):
+        raise ContractViolation(f"dense: unknown activation {activation!r}")
+    z = x.value @ w.value
+    z += b.value
+    out = z
+    if activation == "relu":
+        out = np.maximum(z, 0.0)
+    elif activation == "tanh":
+        out = np.tanh(z)
+
+    def back(g):
+        if activation == "relu":
+            g = g * (z > 0.0)
+        elif activation == "tanh":
+            g = g * (1.0 - out * out)
+        return (g @ w.value.T, x.value.T @ g, _column_sums(g))
+
+    return Node(_seal(out), "dense", (x, w, b), back)
 
 
 def _column_sums(g: np.ndarray) -> np.ndarray:
@@ -440,16 +460,10 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def softmax_rows(a) -> Node:
-    """Row-wise softmax with the usual max-shift stabilization."""
-    a = constant(a)
-    e = np.exp(a.value - _row_max(a.value))
-    out = _seal(e / _row_sums(e))
-
-    def back(g):
-        return (out * (g - _row_sums(g * out)),)
-
-    return Node(out, "softmax_rows", (a,), back)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a plain array with the usual max-shift stabilization."""
+    e = np.exp(z - _row_max(z))
+    return e / _row_sums(e)
 
 
 # -- backward ------------------------------------------------------------------

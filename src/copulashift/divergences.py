@@ -227,20 +227,39 @@ def _smooth(counts: np.ndarray) -> np.ndarray:
 
 
 def coral_penalty_graph(fs: ad.Node, ft: ad.Node) -> ad.Node:
-    """||Cov(fs) - Cov(ft)||_F^2 / (4 m^2) on the graph (ddof-1 covariance)."""
+    """||Cov(fs) - Cov(ft)||_F^2 / (4 m^2) on the graph (ddof-1 covariance).
+
+    One node that replays the graph composite (centre, transpose, matmul,
+    subtract, square, total, scale) op for op, so its bits are the same.
+    """
     if fs.shape[1] != ft.shape[1]:
         raise ShapeError("coral_penalty_graph", fs.shape, ft.shape)
     if fs.shape[0] < 2 or ft.shape[0] < 2:
         raise ContractViolation("coral_penalty_graph: needs at least 2 rows per domain")
     m = fs.shape[1]
+    scale = 1.0 / (4.0 * m * m)
 
     def cov(f):
-        n = f.shape[0]
-        centered = ad.add_bias(f, -ad.mean_rows(f))
-        return ad.matmul(ad.transpose(centered), centered) * (1.0 / (n - 1))
+        centered = f.value - f.value.mean(axis=0, keepdims=True)
+        c_t = np.ascontiguousarray(centered.T)
+        return centered, c_t, c_t @ centered * (1.0 / (f.shape[0] - 1))
 
-    diff = cov(fs) - cov(ft)
-    return ad.total(diff * diff) * (1.0 / (4.0 * m * m))
+    (cs, cs_t, cov_s), (ct, ct_t, cov_t) = cov(fs), cov(ft)
+    diff = cov_s - cov_t
+    out = np.array([[(diff * diff).sum()]]) * scale
+
+    def cov_back(centered, c_t, g_cov):
+        # the composite's order: matmul side, transpose side, then the mean
+        g_prod = g_cov * (1.0 / (centered.shape[0] - 1))
+        g_c = c_t.T @ g_prod + np.ascontiguousarray((g_prod @ centered.T).T)
+        return g_c - ad._column_sums(g_c) / centered.shape[0]
+
+    def back(g):
+        g_sq = np.full((m, m), (g * scale)[0, 0]) * diff
+        g_diff = g_sq + g_sq
+        return cov_back(cs, cs_t, g_diff), cov_back(ct, ct_t, -g_diff)
+
+    return ad.Node(out, "coral", (fs, ft), back)
 
 
 def marginal_divergence(x, y, kind: DivergenceKind) -> float:

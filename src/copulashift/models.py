@@ -20,7 +20,7 @@ from .errors import ContractViolation, ShapeError, is_int
 
 _CHECKPOINT_FORMAT = "copulashift-params-v1"
 
-_ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+_ACTIVATIONS = ("relu", "tanh")  # the activations autodiff.dense applies
 
 
 @dataclass(frozen=True)
@@ -129,16 +129,15 @@ def extract_features(x, params: ModelParams) -> ad.Node:
     if node.shape[1] != params.input_dim:
         raise ShapeError("extract_features", node.shape,
                          (node.shape[0], params.input_dim))
-    act = _ACTIVATIONS[params.spec.activation]
     for w, b in params.extractor:
-        node = act(ad.add_bias(ad.matmul(node, ad.constant(w)), ad.constant(b)))
+        node = ad.dense(node, w, b, params.spec.activation)
     return node
 
 
 def head_outputs(features: ad.Node, params: ModelParams) -> ad.Node:
     """Apply the linear head: logits for classification, predictions for regression."""
     w, b = params.head
-    return ad.add_bias(ad.matmul(features, ad.constant(w)), ad.constant(b))
+    return ad.dense(features, w, b)
 
 
 def predict_proba(x, params: ModelParams) -> np.ndarray:
@@ -146,7 +145,7 @@ def predict_proba(x, params: ModelParams) -> np.ndarray:
     if params.spec.task != "classification":
         raise ContractViolation("predict_proba: model head is not a classifier")
     logits = head_outputs(extract_features(x, params), params)
-    return ad.softmax_rows(logits).value
+    return ad.softmax(logits.value)
 
 
 def predict_regression(x, params: ModelParams) -> np.ndarray:
@@ -175,11 +174,28 @@ def cross_entropy_loss(features: ad.Node, labels, params: ModelParams) -> ad.Nod
         raise ContractViolation(
             f"cross_entropy_loss: labels must lie in [0, {n_classes}), got "
             f"range [{y.min()}, {y.max()}]")
-    probs = ad.softmax_rows(head_outputs(features, params))
     onehot = np.zeros((y.size, n_classes))
     onehot[np.arange(y.size), y] = 1.0
-    picked = ad.total(ad.log(ad.clamp(probs, lo=1e-12)) * ad.constant(onehot))
-    return picked * (-1.0 / y.size)
+    return _softmax_cross_entropy(head_outputs(features, params), onehot)
+
+
+def _softmax_cross_entropy(logits: ad.Node, onehot: np.ndarray) -> ad.Node:
+    """``-total(onehot * log(max(softmax(logits), 1e-12))) / n`` as one node.
+
+    It replays the graph composite op for op, so its bits are the same; a
+    row whose true-class probability is clamped gets a zero gradient.
+    """
+    probs = ad.softmax(logits.value)
+    kept = np.maximum(probs, 1e-12)
+    inside = probs > 1e-12
+    scale = -1.0 / onehot.shape[0]
+    out = np.array([[(np.log(kept) * onehot).sum()]]) * scale
+
+    def back(g):
+        g_probs = np.full(onehot.shape, (g * scale)[0, 0]) * onehot / kept * inside
+        return (probs * (g_probs - ad._row_sums(g_probs * probs)),)
+
+    return ad.Node(out, "softmax_cross_entropy", (logits,), back)
 
 
 def mse_loss(features: ad.Node, targets, params: ModelParams) -> ad.Node:

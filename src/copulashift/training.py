@@ -154,25 +154,34 @@ class TraceEntry:
 
 
 class Adam:
-    """First/second-moment adaptive gradient updates, applied in place."""
+    """First/second-moment adaptive gradient updates, applied in place.
+
+    The moments of all the arrays are one flat buffer each, so a step is one
+    pass over every parameter, with the bits of a step taken array by array.
+    """
 
     def __init__(self, arrays, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        size = sum(a.size for a in arrays)
+        self.m, self.v = np.zeros(size), np.zeros(size)
         self.t = 0
 
     def step(self, arrays, grads):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            a -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        g = np.concatenate([grad.ravel() for grad in grads])
+        flat = np.concatenate([a.ravel() for a in arrays])
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (g * g)
+        flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
+        start = 0
+        for a in arrays:  # not ``a.ravel()[...] =``: that writes a copy if ``a`` is strided
+            a[...] = flat[start:start + a.size].reshape(a.shape)
+            start += a.size
 
 
 def _node_view(params: ModelParams):

@@ -3,11 +3,13 @@
 None of this runs in training or in a CLI verb: the finite-difference
 checker, the O(N^2) Kendall tau, the Monte-Carlo integrator for the closed
 forms (with Acklam's inverse normal CDF), the hand-derived gradient of the
-KL copula distance, the analytic Gaussian KLs, the graph composite the
-fused smoothed-tau node replaced, the row reductions and the CORAL
-centering that the column-at-a-time forms replaced, the tie loop of the
-Mann-Whitney AUC, and the per-line test the loader's content-line regex
-replaced.
+KL copula distance, the analytic Gaussian KLs, the graph composites the
+fused nodes replaced (smoothed tau, dense layer, softmax cross-entropy,
+CORAL) with the ``neg``, ``transpose`` and ``softmax_rows`` ops only they
+build with, the per-array Adam step the flat one replaced, the row
+reductions and the CORAL centering that the column-at-a-time forms
+replaced, the tie loop of the Mann-Whitney AUC, and the per-line test the
+loader's content-line regex replaced.
 """
 
 from typing import Callable, Sequence
@@ -34,6 +36,79 @@ def smooth_taus_composite(f: ad.Node, a: float) -> ad.Node:
     diff = ad.take_rows(f, np.arange(0, n, 2)) - ad.take_rows(f, np.arange(1, n, 2))
     prod = ad.take_cols(diff, first) * ad.take_cols(diff, second)
     return ad.mean_rows(ad.tanh(prod * a))
+
+
+def neg(a) -> ad.Node:
+    """Elementwise negation as its own op."""
+    a = ad.constant(a)
+    return ad.Node(-a.value, "neg", (a,), lambda g: (-g,))
+
+
+def transpose(a) -> ad.Node:
+    a = ad.constant(a)
+    return ad.Node(np.ascontiguousarray(a.value.T), "transpose", (a,),
+                   lambda g: (np.ascontiguousarray(g.T),))
+
+
+def softmax_rows(a) -> ad.Node:
+    """Row-wise softmax as a graph op."""
+    a = ad.constant(a)
+    out = ad.softmax(a.value)
+    return ad.Node(out, "softmax_rows", (a,),
+                   lambda g: (out * (g - ad._row_sums(g * out)),))
+
+
+_ACTIVATION_OPS = {None: lambda node: node, "relu": ad.relu, "tanh": ad.tanh}
+
+
+def dense_composite(x, w, b, activation=None) -> ad.Node:
+    """The graph-composite form of ``autodiff.dense``: matmul, add_bias, activation."""
+    return _ACTIVATION_OPS[activation](ad.add_bias(ad.matmul(x, w), b))
+
+
+def cross_entropy_composite(logits: ad.Node, onehot: np.ndarray) -> ad.Node:
+    """The graph-composite form of ``models._softmax_cross_entropy``.
+
+    softmax_rows, clamp at 1e-12, log, the one-hot product, total and scale.
+    """
+    probs = softmax_rows(logits)
+    picked = ad.total(ad.log(ad.clamp(probs, lo=1e-12)) * ad.constant(onehot))
+    return picked * (-1.0 / onehot.shape[0])
+
+
+def coral_penalty_composite(fs: ad.Node, ft: ad.Node) -> ad.Node:
+    """The graph-composite form of ``coral_penalty_graph``, centred by add_bias."""
+    m = fs.shape[1]
+
+    def cov(f):
+        n = f.shape[0]
+        centered = ad.add_bias(f, neg(ad.mean_rows(f)))
+        return ad.matmul(transpose(centered), centered) * (1.0 / (n - 1))
+
+    diff = cov(fs) - cov(ft)
+    return ad.total(diff * diff) * (1.0 / (4.0 * m * m))
+
+
+class AdamPerArray:
+    """``training.Adam`` stepping each parameter array with its own moments."""
+
+    def __init__(self, arrays, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = learning_rate
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.t = 0
+
+    def step(self, arrays, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            a -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def add_bias_summed(x, b) -> ad.Node:
@@ -63,7 +138,7 @@ def coral_penalty_gathered(fs: ad.Node, ft: ad.Node) -> ad.Node:
     def cov(f):
         n = f.shape[0]
         centered = f - ad.take_rows(ad.mean_rows(f), [0] * n)
-        return ad.matmul(ad.transpose(centered), centered) * (1.0 / (n - 1))
+        return ad.matmul(transpose(centered), centered) * (1.0 / (n - 1))
 
     diff = cov(fs) - cov(ft)
     return ad.total(diff * diff) * (1.0 / (4.0 * m * m))

@@ -1,9 +1,13 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import copulashift
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_python(*args):
@@ -31,3 +35,21 @@ def test_python_m_runs_the_cli():
     done = run_python("-m", "copulashift", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: copulashift") and "shift-report" in done.stdout
+
+
+def test_every_traced_span_resolves():
+    # benchmarks/run.py --trace 1 wraps each name of tracer.SPANS on the package
+    tree = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text(encoding="utf-8"))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "SPANS")
+    missing = []
+    for module_name, names in spans.items():
+        module = importlib.import_module(f"copulashift.{module_name}")
+        for name in names:
+            owner = module
+            for part in name.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{module_name}.{name}")
+    assert spans and missing == []
