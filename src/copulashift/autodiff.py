@@ -7,7 +7,7 @@ creation order, which is a valid reverse topological order because parents
 always exist before their children, and accumulates in that fixed order so
 repeated runs are bit-identical.
 
-Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, sqrt'(0) = 0,
+Subgradient conventions at kinks: relu'(0) = 0, sqrt'(0) = 0,
 and clamp passes gradient only strictly inside the interval.
 
 Every op coerces a plain operand with ``constant``, so it always returns a
@@ -107,12 +107,6 @@ class Node:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -180,16 +174,6 @@ def mul(a, b) -> Node:
     return Node(out, "mul", (a, b),
                 lambda g: (_unbroadcast(g * b.value, a.shape),
                            _unbroadcast(g * a.value, b.shape)))
-
-
-def div(a, b) -> Node:
-    a, b = _pair("div", a, b)
-    if np.any(b.value == 0.0):
-        raise DomainError("div: denominator contains zero")
-    out = _seal(a.value / b.value)
-    return Node(out, "div", (a, b),
-                lambda g: (_unbroadcast(g / b.value, a.shape),
-                           _unbroadcast(-g * a.value / (b.value * b.value), b.shape)))
 
 
 def matmul(a, b) -> Node:
@@ -264,14 +248,6 @@ def exp(a) -> Node:
     return Node(out, "exp", (a,), lambda g: (g * out,))
 
 
-def log(a) -> Node:
-    a = constant(a)
-    if np.any(a.value <= 0.0):
-        raise DomainError("log: operand must be strictly positive")
-    out = _seal(np.log(a.value))
-    return Node(out, "log", (a,), lambda g: (g / a.value,))
-
-
 def sqrt(a) -> Node:
     a = constant(a)
     if np.any(a.value < 0.0):
@@ -291,18 +267,6 @@ def tanh(a) -> Node:
     a = constant(a)
     out = _seal(np.tanh(a.value))
     return Node(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def sin(a) -> Node:
-    a = constant(a)
-    out = _seal(np.sin(a.value))
-    return Node(out, "sin", (a,), lambda g: (g * np.cos(a.value),))
-
-
-def absolute(a) -> Node:
-    a = constant(a)
-    out = _seal(np.abs(a.value))
-    return Node(out, "abs", (a,), lambda g: (g * np.sign(a.value),))
 
 
 def relu(a) -> Node:
@@ -344,15 +308,6 @@ def mean(a) -> Node:
     shape, size = a.shape, a.value.size
     return Node(out, "mean", (a,),
                 lambda g: (np.full(shape, g[0, 0] / size),))
-
-
-def mean_rows(a) -> Node:
-    """Column means: (n, m) -> (1, m)."""
-    a = constant(a)
-    out = _seal(a.value.mean(axis=0, keepdims=True))
-    n = a.shape[0]
-    return Node(out, "mean_rows", (a,),
-                lambda g: (np.repeat(g / n, n, axis=0),))
 
 
 def pairwise_diff(x, y) -> Node:
@@ -415,24 +370,6 @@ def take_cols(a, indices) -> Node:
     shape = a.shape
     return Node(out, "take_cols", (a,),
                 lambda g: (_scatter_add(shape, np.arange(shape[0])[:, None], idx, g),))
-
-
-def sort_cols(a) -> Node:
-    """Sort every column ascending (stable); the backward un-permutes.
-
-    Each column's order is a permutation, so the backward is a plain write
-    of the output gradient back to the source rows: nothing is summed.
-    """
-    a = constant(a)
-    order = np.argsort(a.value, axis=0, kind="stable")
-    out = _seal(np.take_along_axis(a.value, order, axis=0))
-
-    def back(g):
-        z = np.empty_like(g)  # every entry is written: each column is a permutation
-        np.put_along_axis(z, order, g, axis=0)
-        return (z,)
-
-    return Node(out, "sort_cols", (a,), back)
 
 
 # numpy adds the items of a row shorter than 8 one by one starting from +0.0

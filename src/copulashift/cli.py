@@ -360,6 +360,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as err:
         _say(f"error: {err}")
         return EXIT_USAGE
+    except FloatingPointError as err:  # training diverged: train names the epoch and batch
+        _say(f"error: {err}")
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

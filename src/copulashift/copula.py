@@ -7,11 +7,13 @@ feature matrices is beta times the sum over pairs of absolute differences
 in a closed-form dependence divergence driven entirely by the pair
 determinant |Sigma| = 1 - rho^2.
 
-Tau is the O(N) tanh-smoothed paired estimator, computed for all column
-pairs in one graph node, so the distance is differentiable end to end.
-The plain entry points (``kendall_tau_smooth``,
-``pair_dependence_divergence``, ``copula_distance``) evaluate the same
-graph and return its value.
+Tau is the O(N) tanh-smoothed paired estimator. The distance is one graph
+node on both feature matrices, differentiable end to end. Only live
+columns, in which some row pair differs, enter its tanh products: a dead
+column gives each of its pairs tau = 0, so rho = 0, det = 1 and a zero
+gradient, and skipping those pairs changes no bit. The plain entry points
+(``kendall_tau_smooth``, ``pair_dependence_divergence``,
+``copula_distance``) share its arithmetic and return plain numbers.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .errors import ContractViolation, DomainError, ShapeError, is_finite_real, 
 EPS_CLIP = 1e-6
 
 H2_TAGS = ("kl", "chi2", "w2", "mmd")
+
+_HALF_PI = np.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ def kendall_tau_smooth(pairs, a: float) -> float:
     if n < 2 or n % 2 != 0:
         raise ContractViolation(
             f"kendall_tau_smooth: N must be even and >= 2, got {n} (caller drops one row)")
-    return _smooth_taus(ad.constant(arr), _check_sharpness(a)).item()
+    return float(_tanh_products(_paired_diffs(arr), _check_sharpness(a)).mean(axis=1)[0])
 
 
 def _check_sharpness(a) -> float:
@@ -76,21 +80,23 @@ def _check_sharpness(a) -> float:
     return float(a)
 
 
-def _smooth_taus(f: ad.Node, a: float) -> ad.Node:
-    """(1, P) tanh-smoothed taus of every column pair (i < j) of an (N, m) node.
+def _paired_diffs(f: np.ndarray) -> np.ndarray:
+    """(m, k) differences of the row pairs (0, 1), (2, 3), ... of (N, m) ``f``, a column a row.
 
-    Rows (0, 1), (2, 3), ... form the k = N // 2 disjoint pairs; an odd final
-    row is left out. One node: with d = f[0::2] - f[1::2], the gradient of
-    d[:, i] is sum_j W[i, j] d[:, j], W symmetric with w = g a (1 - t^2) / k.
+    k = N // 2; an odd final row is left out.
     """
-    n, m = f.shape
-    k = n // 2
-    first, second = _pair_index(m)
-    dT = np.ascontiguousarray((f.value[0:2 * k:2] - f.value[1:2 * k:2]).T)
-    # (P, k), worked in place to spare fresh arrays. Pairs (i, i+1..m-1) are
-    # consecutive rows in ``_pair_index`` order, so each first column writes
-    # its block with one product and no gathered copies of dT.
-    t = np.empty((first.size, k))
+    k = f.shape[0] // 2
+    return np.ascontiguousarray((f[0:2 * k:2] - f[1:2 * k:2]).T)
+
+
+def _tanh_products(dT: np.ndarray, a: float) -> np.ndarray:
+    """(P, k) tanh(a d_i d_j) of every pair (i < j) of the rows of ``dT``, in ``_pair_index`` order.
+
+    Worked in place. Pairs (i, i+1..m-1) are consecutive, so each first row
+    writes its block with one product and no gathered copies of ``dT``.
+    """
+    m, k = dT.shape
+    t = np.empty((m * (m - 1) // 2, k))
     start = 0
     for i in range(m - 1):
         stop = start + m - 1 - i
@@ -98,53 +104,47 @@ def _smooth_taus(f: ad.Node, a: float) -> ad.Node:
         start = stop
     t *= a
     np.tanh(t, out=t)
-    tau = t.mean(axis=1).reshape(1, -1)
-    tau.setflags(write=False)
-
-    def back(g):
-        w = t * t
-        np.subtract(1.0, w, out=w)
-        w *= a
-        w *= g.T / k
-        big_w = np.zeros((m, m, k))
-        big_w[first, second] = w
-        big_w[second, first] = w
-        gd = np.einsum("ijr,jr->ri", big_w, dT)
-        grad = np.zeros((n, m))
-        grad[0:2 * k:2] = gd
-        grad[1:2 * k:2] = -gd
-        return (grad,)
-
-    return ad.Node(tau, "smooth_taus", (f,), back)
-
-
-def copula_param_from_tau(tau: ad.Node) -> ad.Node:
-    """Moment matching rho = sin(pi * tau / 2) on a tau node, clipped away from +-1.
-
-    The smoothed estimator keeps |tau| <= 1, so the range is not re-checked.
-    """
-    return ad.clamp(ad.sin(tau * (np.pi / 2.0)), lo=-1.0 + EPS_CLIP, hi=1.0 - EPS_CLIP)
+    return t
 
 
 # -- closed-form pairwise divergences ------------------------------------------
 
-def _divergence_from_det(det: ad.Node, tag: str) -> ad.Node:
-    """Closed-form H(P_12, P_1 P_2) of a node of determinants |Sigma| = 1 - rho^2.
+def _dsqrt(root: np.ndarray) -> np.ndarray:
+    # sqrt's derivative given its output, with subgradient 0 at the origin
+    d = np.zeros_like(root)
+    np.divide(0.5, root, out=d, where=root > 0.0)
+    return d
+
+
+def _clamped_root(sq: np.ndarray, back):
+    """sqrt(max(sq, 0)), and ``back`` composed with its gradient."""
+    root = np.sqrt(np.clip(sq, 0.0, None))
+    return root, lambda g: back(g * _dsqrt(root) * (sq > 0.0))
+
+
+def _divergence_from_det(det: np.ndarray, tag: str):
+    """Closed-form H(P_12, P_1 P_2) of determinants |Sigma| = 1 - rho^2, and dH -> d det.
 
     W2 and MMD forms are squared distances; their square root is returned.
-    ``tag`` is one of the closed-form tags DependenceKind admits.
+    Each form computes its value and gradient op for op as the autodiff
+    ops (log, div, sqrt, clamp, scalar add and scale) it was written with.
     """
     if tag == "kl":
-        return ad.log(det) * -0.5
+        return np.log(det) * -0.5, lambda g: g * -0.5 / det
     if tag == "chi2":
-        return ad.div(1.0, det) - 1.0
+        return 1.0 / det - 1.0, lambda g: -g / (det * det)
     if tag == "w2":
-        sq = 4.0 - 2.0 * ad.sqrt(2.0 + 2.0 * ad.sqrt(det))
-        return ad.sqrt(ad.clamp(sq, lo=0.0))
+        r1 = np.sqrt(det)
+        r2 = np.sqrt(r1 * 2.0 + 2.0)
+        return _clamped_root(4.0 - r2 * 2.0,
+                             lambda g: -g * 2.0 * _dsqrt(r2) * 2.0 * _dsqrt(r1))
     # tag == "mmd"
-    sq = (1.0 / ad.sqrt(9.0 + 16.0 * det) + 0.2
-          - 2.0 / ad.sqrt(21.0 + 4.0 * det))
-    return ad.sqrt(ad.clamp(sq, lo=0.0))
+    s1 = np.sqrt(det * 16.0 + 9.0)
+    s2 = np.sqrt(det * 4.0 + 21.0)
+    return _clamped_root(
+        (1.0 / s1 + 0.2) - 2.0 / s2,
+        lambda g: g * 2.0 / (s2 * s2) * _dsqrt(s2) * 4.0
+        + -g / (s1 * s1) * _dsqrt(s1) * 16.0)
 
 
 def pair_dependence_divergence(rho: float, kind: DependenceKind) -> float:
@@ -153,20 +153,77 @@ def pair_dependence_divergence(rho: float, kind: DependenceKind) -> float:
         raise ContractViolation(
             f"pair_dependence_divergence: rho must be a number with |rho| <= {1.0 - EPS_CLIP}, "
             f"got {rho!r}")
-    det = 1.0 - rho * rho
-    return _divergence_from_det(ad.constant(det), kind.tag).item()
+    det = np.array([[1.0 - rho * rho]])
+    return float(_divergence_from_det(det, kind.tag)[0][0, 0])
+
+
+def _pair_divergences(f: np.ndarray, a: float, tag: str):
+    """(1, P) divergences H of every column pair of (N, m) ``f``, and dH -> d f.
+
+    Per pair: tau -> rho = clip(sin(pi tau / 2), +-(1 - EPS_CLIP)) ->
+    det = 1 - rho^2 -> H. The tanh products run over live columns only and
+    a dead pair's tau is 0; the rest runs over all P pairs.
+    """
+    n, m = f.shape
+    k = n // 2
+    dT = _paired_diffs(f)
+    live = (dT != 0.0).any(axis=1)
+    # einsum sums the kernel in order from +0.0, so dropping +-0 terms moves
+    # no bit; at k = 1 it sums in unrolled blocks instead, so keep them all
+    if k == 1:
+        live[:] = True
+    first, second = _pair_index(m)
+    pairs = live[first] & live[second]
+    dT = dT[live]
+    t = _tanh_products(dT, a)
+    tau = np.zeros((1, pairs.size))
+    tau[0, pairs] = t.mean(axis=1)
+    s = tau * _HALF_PI
+    sn = np.sin(s)
+    lo, hi = -1.0 + EPS_CLIP, 1.0 - EPS_CLIP
+    rho = np.clip(sn, lo, hi)
+    h, h_back = _divergence_from_det(1.0 - rho * rho, tag)
+
+    def back(g):
+        g_rr = -h_back(g)
+        g_rho = g_rr * rho + g_rr * rho  # mul(rho, rho) hands each factor its term
+        g_tau = g_rho * ((sn > lo) & (sn < hi)) * np.cos(s) * _HALF_PI
+        # d tau_ij / d d_i = a (1 - t^2) d_j / k: a symmetric (m_l, m_l, k)
+        # kernel with a zero diagonal, built block by block
+        w = t * t
+        np.subtract(1.0, w, out=w)
+        w *= a
+        w *= g_tau[:, pairs].T / k
+        ml = dT.shape[0]
+        kernel = np.empty((ml, ml, k))
+        kernel.reshape(ml * ml, k)[::ml + 1] = 0.0  # the diagonal
+        start = 0
+        for i in range(ml - 1):
+            stop = start + ml - 1 - i
+            kernel[i, i + 1:] = w[start:stop]
+            kernel[i + 1:, i] = w[start:stop]
+            start = stop
+        grad = np.zeros((n, m))
+        grad[0:2 * k:2, live] = np.einsum("ijr,jr->ri", kernel, dT)
+        grad[1:2 * k:2] = -grad[0:2 * k:2]  # a dead column's odd rows read -0.0
+        return grad
+
+    return h, back
 
 
 # -- the Eq. 2 aggregate ---------------------------------------------------------
 
 def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: float,
                           kind: DependenceKind, a: float) -> ad.Node:
-    """Copula distance between two (N, m) feature nodes, differentiable.
+    """Copula distance between two (N, m) feature nodes, as one node on (fs, ft).
 
     Per pair (i < j) and per domain: smoothed tau over consecutive row
     pairs -> rho = sin(pi tau/2) -> closed-form divergence; the aggregate
     is beta * sum_{i<j} |H_s - H_t|, one weight for every pair. Odd row
-    counts drop the final row.
+    counts drop the final row. Only live columns (some row pair differs)
+    enter the tanh products; a dead column's pairs get tau = 0, which is
+    what the products would give. Value and gradients have the bits of the
+    graph composite of autodiff ops.
     """
     if not is_finite_real(beta) or beta < 0:
         raise ContractViolation(
@@ -181,14 +238,15 @@ def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: float,
     n = min(fs.shape[0], ft.shape[0])
     if n < 2:
         raise ContractViolation(f"copula_distance: needs >= 2 rows, got {n}")
+    (hs, back_s), (ht, back_t) = (_pair_divergences(f.value, a, kind.tag) for f in (fs, ft))
+    gap = hs - ht
+    out = np.array([[(np.abs(gap) * beta).sum()]])
 
-    def pair_divergences(f):
-        rhos = copula_param_from_tau(_smooth_taus(f, a))
-        det = 1.0 - rhos * rhos
-        return _divergence_from_det(det, kind.tag)
+    def back(g):
+        g_gap = np.full(gap.shape, g[0, 0]) * beta * np.sign(gap)
+        return back_s(g_gap), back_t(-g_gap)
 
-    gap = ad.absolute(pair_divergences(fs) - pair_divergences(ft))
-    return ad.total(gap * beta)
+    return ad.Node(out, "copula_distance", (fs, ft), back)
 
 
 def copula_distance(fs, ft, beta: float, kind: DependenceKind,

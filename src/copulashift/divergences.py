@@ -262,6 +262,39 @@ def coral_penalty_graph(fs: ad.Node, ft: ad.Node) -> ad.Node:
     return ad.Node(out, "coral", (fs, ft), back)
 
 
+def w1_columns_graph(fs: ad.Node, ft: ad.Node) -> ad.Node:
+    """Sum over columns of W1 between two (n, m) samples of equal size, as one node.
+
+    Each column's W1 is the mean absolute difference of the sorted samples.
+    The node replays the graph composite (stable sort of each column, sub,
+    abs, column means, total) op for op, so its bits are the same: stably
+    sorted ties route their gradients as the composite did.
+    """
+    if fs.shape != ft.shape:
+        raise ShapeError("w1_columns_graph", fs.shape, ft.shape)
+    n, m = fs.shape
+
+    def sort_cols(f):
+        # flat index into f of each column's ascending order; the stable sort
+        # runs on the contiguous transposed copy
+        order = np.argsort(np.ascontiguousarray(f.value.T), axis=1, kind="stable")
+        flat = order.T * m + np.arange(m)
+        return flat, np.take(f.value, flat)
+
+    (flat_s, sorted_s), (flat_t, sorted_t) = sort_cols(fs), sort_cols(ft)
+    diff = sorted_s - sorted_t
+    out = np.array([[np.abs(diff).mean(axis=0, keepdims=True).sum()]])
+
+    def back(g):
+        g_diff = np.full((1, m), g[0, 0]) / n * np.sign(diff)
+        gs, gt = np.empty(n * m), np.empty(n * m)  # each column is a permutation
+        gs[flat_s] = g_diff
+        gt[flat_t] = -g_diff
+        return gs.reshape(n, m), gt.reshape(n, m)
+
+    return ad.Node(out, "w1_columns", (fs, ft), back)
+
+
 def marginal_divergence(x, y, kind: DivergenceKind) -> float:
     """Dispatch a 1-D marginal divergence by kind.
 

@@ -209,13 +209,11 @@ def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node
     MMD enters as the distance (square root of the V-statistic, matching
     the gradient the paper derives); W1 as the sorted-sample mean absolute
     difference (equal batch sizes by construction), all columns in one
-    sort; histogram KL is piecewise constant in the features, so it
+    node; histogram KL is piecewise constant in the features, so it
     contributes its value with zero gradient.
     """
     if kind.kind == "w1":
-        # mean_rows, not total * (1/n): its backward divides by n, which
-        # keeps the gradient bit-identical to a per-column mean
-        return ad.total(ad.mean_rows(ad.absolute(ad.sort_cols(fs) - ad.sort_cols(ft))))
+        return dv.w1_columns_graph(fs, ft)
     total = None
     for c in range(fs.shape[1]):
         if kind.kind == "mmd":

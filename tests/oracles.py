@@ -4,8 +4,10 @@ None of this runs in training or in a CLI verb: the finite-difference
 checker, the O(N^2) Kendall tau, the Monte-Carlo integrator for the closed
 forms (with Acklam's inverse normal CDF), the hand-derived gradient of the
 KL copula distance, the analytic Gaussian KLs, the graph composites the
-fused nodes replaced (smoothed tau, dense layer, softmax cross-entropy,
-CORAL) with the ``neg``, ``transpose`` and ``softmax_rows`` ops only they
+fused nodes replaced (copula distance with its tau node and closed forms,
+sorted W1 term, smoothed tau, dense layer, softmax cross-entropy, CORAL)
+with the ``div``, ``log``, ``sin``, ``absolute``, ``mean_rows``,
+``sort_cols``, ``neg``, ``transpose`` and ``softmax_rows`` ops only they
 build with, the per-array Adam step the flat one replaced, the row
 reductions and the CORAL centering that the column-at-a-time forms
 replaced, the tie loop of the Mann-Whitney AUC, and the per-line test the
@@ -18,12 +20,157 @@ import numpy as np
 
 import copulashift.autodiff as ad
 from copulashift.copula import (EPS_CLIP, DependenceKind, _as_pairs, _check_sharpness,
-                                _pair_index)
+                                _pair_index, _paired_diffs, _tanh_products)
 from copulashift.errors import ContractViolation, DomainError, ShapeError
 
 
+# -- the autodiff ops that only the composites below build with ----------------
+
+def div(a, b) -> ad.Node:
+    a, b = ad._pair("div", a, b)
+    if np.any(b.value == 0.0):
+        raise DomainError("div: denominator contains zero")
+    out = ad._seal(a.value / b.value)
+    return ad.Node(out, "div", (a, b),
+                   lambda g: (ad._unbroadcast(g / b.value, a.shape),
+                              ad._unbroadcast(-g * a.value / (b.value * b.value), b.shape)))
+
+
+def log(a) -> ad.Node:
+    a = ad.constant(a)
+    if np.any(a.value <= 0.0):
+        raise DomainError("log: operand must be strictly positive")
+    out = ad._seal(np.log(a.value))
+    return ad.Node(out, "log", (a,), lambda g: (g / a.value,))
+
+
+def sin(a) -> ad.Node:
+    a = ad.constant(a)
+    out = ad._seal(np.sin(a.value))
+    return ad.Node(out, "sin", (a,), lambda g: (g * np.cos(a.value),))
+
+
+def absolute(a) -> ad.Node:
+    """|a|, with subgradient 0 at the kink."""
+    a = ad.constant(a)
+    out = ad._seal(np.abs(a.value))
+    return ad.Node(out, "abs", (a,), lambda g: (g * np.sign(a.value),))
+
+
+def mean_rows(a) -> ad.Node:
+    """Column means: (n, m) -> (1, m)."""
+    a = ad.constant(a)
+    out = ad._seal(a.value.mean(axis=0, keepdims=True))
+    n = a.shape[0]
+    return ad.Node(out, "mean_rows", (a,),
+                   lambda g: (np.repeat(g / n, n, axis=0),))
+
+
+def sort_cols(a) -> ad.Node:
+    """Sort every column ascending (stable); the backward un-permutes.
+
+    Each column's order is a permutation, so the backward is a plain write
+    of the output gradient back to the source rows: nothing is summed.
+    """
+    a = ad.constant(a)
+    order = np.argsort(a.value, axis=0, kind="stable")
+    out = ad._seal(np.take_along_axis(a.value, order, axis=0))
+
+    def back(g):
+        z = np.empty_like(g)  # every entry is written: each column is a permutation
+        np.put_along_axis(z, order, g, axis=0)
+        return (z,)
+
+    return ad.Node(out, "sort_cols", (a,), back)
+
+
+# -- the copula distance and the W1 term as graph composites -------------------
+
+def smooth_taus(f: ad.Node, a: float) -> ad.Node:
+    """(1, P) tanh-smoothed taus of every column pair (i < j) of an (N, m) node.
+
+    The one tau node the copula distance was built with before it became
+    one node itself: the package's tau forward, and a backward that runs the
+    (m, m, k) kernel over every pair, dead columns included. With
+    d = f[0::2] - f[1::2], the gradient of d[:, i] is sum_j W[i, j] d[:, j],
+    W symmetric with w = g a (1 - t^2) / k.
+    """
+    n, m = f.shape
+    k = n // 2
+    first, second = _pair_index(m)
+    dT = _paired_diffs(f.value)
+    t = _tanh_products(dT, a)
+    tau = t.mean(axis=1).reshape(1, -1)
+    tau.setflags(write=False)
+
+    def back(g):
+        w = t * t
+        np.subtract(1.0, w, out=w)
+        w *= a
+        w *= g.T / k
+        big_w = np.zeros((m, m, k))
+        big_w[first, second] = w
+        big_w[second, first] = w
+        gd = np.einsum("ijr,jr->ri", big_w, dT)
+        grad = np.zeros((n, m))
+        grad[0:2 * k:2] = gd
+        grad[1:2 * k:2] = -gd
+        return (grad,)
+
+    return ad.Node(tau, "smooth_taus", (f,), back)
+
+
+def copula_param_from_tau(tau: ad.Node) -> ad.Node:
+    """Moment matching rho = sin(pi * tau / 2) on a tau node, clipped away from +-1."""
+    return ad.clamp(sin(tau * (np.pi / 2.0)), lo=-1.0 + EPS_CLIP, hi=1.0 - EPS_CLIP)
+
+
+def divergence_from_det(det: ad.Node, tag: str) -> ad.Node:
+    """Closed-form H(P_12, P_1 P_2) of a node of determinants |Sigma| = 1 - rho^2.
+
+    W2 and MMD forms are squared distances; their square root is returned.
+    """
+    if tag == "kl":
+        return log(det) * -0.5
+    if tag == "chi2":
+        return div(1.0, det) - 1.0
+    if tag == "w2":
+        sq = 4.0 - 2.0 * ad.sqrt(2.0 + 2.0 * ad.sqrt(det))
+        return ad.sqrt(ad.clamp(sq, lo=0.0))
+    # tag == "mmd"
+    sq = (div(1.0, ad.sqrt(9.0 + 16.0 * det)) + 0.2
+          - div(2.0, ad.sqrt(21.0 + 4.0 * det)))
+    return ad.sqrt(ad.clamp(sq, lo=0.0))
+
+
+def copula_distance_composite(fs: ad.Node, ft: ad.Node, beta: float,
+                              kind: DependenceKind, a: float, taus=smooth_taus) -> ad.Node:
+    """The graph-composite form of ``copula.copula_distance_graph``.
+
+    Per domain: ``taus`` (the tau node by default, or ``smooth_taus_composite``),
+    sin, clamp, 1 - rho * rho and the closed form; then sub, abs, scale and
+    total. Validates nothing.
+    """
+    def pair_divergences(f):
+        rhos = copula_param_from_tau(taus(f, a))
+        det = 1.0 - rhos * rhos
+        return divergence_from_det(det, kind.tag)
+
+    gap = absolute(pair_divergences(fs) - pair_divergences(ft))
+    return ad.total(gap * float(beta))
+
+
+def w1_columns_composite(fs: ad.Node, ft: ad.Node) -> ad.Node:
+    """The graph-composite form of ``divergences.w1_columns_graph``.
+
+    mean_rows, not total * (1/n): its backward divides by n, which keeps the
+    gradient bit-identical to a per-column mean.
+    """
+    return ad.total(mean_rows(absolute(sort_cols(fs) - sort_cols(ft))))
+
+
 def smooth_taus_composite(f: ad.Node, a: float) -> ad.Node:
-    """The graph-composite form of ``copula._smooth_taus``.
+    """The graph-composite form of ``smooth_taus``.
 
     Gathers the even prefix and the two rows of each disjoint pair with
     ``take_rows``, the two columns of each feature pair with ``take_cols``,
@@ -35,7 +182,7 @@ def smooth_taus_composite(f: ad.Node, a: float) -> ad.Node:
     first, second = _pair_index(f.shape[1])
     diff = ad.take_rows(f, np.arange(0, n, 2)) - ad.take_rows(f, np.arange(1, n, 2))
     prod = ad.take_cols(diff, first) * ad.take_cols(diff, second)
-    return ad.mean_rows(ad.tanh(prod * a))
+    return mean_rows(ad.tanh(prod * a))
 
 
 def neg(a) -> ad.Node:
@@ -72,7 +219,7 @@ def cross_entropy_composite(logits: ad.Node, onehot: np.ndarray) -> ad.Node:
     softmax_rows, clamp at 1e-12, log, the one-hot product, total and scale.
     """
     probs = softmax_rows(logits)
-    picked = ad.total(ad.log(ad.clamp(probs, lo=1e-12)) * ad.constant(onehot))
+    picked = ad.total(log(ad.clamp(probs, lo=1e-12)) * ad.constant(onehot))
     return picked * (-1.0 / onehot.shape[0])
 
 
@@ -82,7 +229,7 @@ def coral_penalty_composite(fs: ad.Node, ft: ad.Node) -> ad.Node:
 
     def cov(f):
         n = f.shape[0]
-        centered = ad.add_bias(f, neg(ad.mean_rows(f)))
+        centered = ad.add_bias(f, neg(mean_rows(f)))
         return ad.matmul(transpose(centered), centered) * (1.0 / (n - 1))
 
     diff = cov(fs) - cov(ft)
@@ -137,7 +284,7 @@ def coral_penalty_gathered(fs: ad.Node, ft: ad.Node) -> ad.Node:
 
     def cov(f):
         n = f.shape[0]
-        centered = f - ad.take_rows(ad.mean_rows(f), [0] * n)
+        centered = f - ad.take_rows(mean_rows(f), [0] * n)
         return ad.matmul(transpose(centered), centered) * (1.0 / (n - 1))
 
     diff = cov(fs) - cov(ft)

@@ -3,6 +3,7 @@ import builtins
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,19 @@ class TestTrainEval:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["metrics"]) == {"rmse", "r2", "re"}
         assert json.loads((tmp_path / "scores.json").read_text()) == doc
+
+    # a learning rate of 1e300 overflows the features on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_is_one_error_line(self, tmp_path, capsys):
+        src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
+        tgt = make_moons_csv(tmp_path, "tgt.csv", stretch=3, seed=2)
+        capsys.readouterr()
+        code = run_cli("train", "--source", src, "--target", tgt, "--epochs", 5,
+                       "--batch", 64, "--seed", 3, "--lr", 1e300, "--out", tmp_path / "m")
+        assert code == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: train: non-finite loss at epoch \d+, batch \d+\n", err)
+        assert not list(tmp_path.glob("m.*"))
 
     def test_flags_override_config_file(self, tmp_path):
         src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 import copulashift.autodiff as ad
 import copulashift.copula as cop
 from copulashift.copula import (H2_TAGS, DependenceKind, copula_distance,
-                                copula_distance_graph, copula_param_from_tau,
-                                kendall_tau_smooth, _smooth_taus,
+                                copula_distance_graph, kendall_tau_smooth,
                                 pair_dependence_divergence)
 from copulashift.divergences import _pair_index
 from copulashift.errors import ContractViolation, DomainError
-from oracles import (cd_kl_gradient_analytic, finite_difference_check,
+from oracles import (cd_kl_gradient_analytic, copula_distance_composite,
+                     copula_param_from_tau, finite_difference_check,
                      gaussian_copula_density, inverse_normal_cdf,
                      kendall_tau_exact, pair_dependence_divergence_mc,
-                     smooth_taus_composite)
+                     smooth_taus, smooth_taus_composite)
 
 
 def correlated_sample(rho: float, n: int, seed: int) -> np.ndarray:
@@ -70,7 +69,7 @@ class TestKendallTau:
         # one pass over all pairs == kendall_tau_smooth on each column pair
         sample = np.random.default_rng(4).normal(size=(301, 5))
         sample[:, 3] += 0.6 * sample[:, 0]
-        taus = _smooth_taus(ad.constant(sample), 50.0).value.ravel()
+        taus = smooth_taus(ad.constant(sample), 50.0).value.ravel()
         for tau, i, j in zip(taus, *cop._pair_index(5)):
             assert tau == kendall_tau_smooth(sample[:300, [i, j]], a=50.0)
 
@@ -86,7 +85,7 @@ class TestKendallTau:
     def test_smooth_graph_backpropagates(self):
         rng = np.random.default_rng(11)
         x = ad.leaf(np.hstack([rng.normal(size=(10, 1)), rng.normal(size=(10, 1))]))
-        node = _smooth_taus(x, a=5.0)
+        node = smooth_taus(x, a=5.0)
         ad.backward(node)
         assert np.any(x.grad[:, 0] != 0.0)
 
@@ -285,7 +284,7 @@ class TestCopulaDistance:
         assert d_ab == copula_distance(fb, fa, 1.0, kind)
         assert math.isfinite(d_ab) and d_ab >= 0.0
         for f in (fa, fb):
-            np.testing.assert_array_equal(_smooth_taus(ad.constant(f), 100.0).value,
+            np.testing.assert_array_equal(smooth_taus(ad.constant(f), 100.0).value,
                                           _gathered_taus(f, 100.0))
 
     def test_linear_in_the_weights(self):
@@ -368,19 +367,23 @@ def _leaf_grads(build, *values):
     return out.value, [x.grad.copy() for x in leaves]
 
 
+def _assert_same_bits(got, ref):
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def _assert_close(got, ref):
     # relative to the largest reference entry, so near-zero entries count too
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
 class TestFusedSmoothTaus:
-    """The one-node ``_smooth_taus`` against its graph composite (tests/oracles.py)."""
+    """The tau node and the one-node copula distance against their composites (tests/oracles.py)."""
 
     @pytest.mark.parametrize("shape", [(256, 64), (1024, 64), (64, 5), (10, 2),
                                        (6, 3), (7, 3)])
     def test_forward_is_bit_identical(self, shape):
         x = np.random.default_rng(shape[0] * shape[1]).normal(size=shape)
-        fused = _smooth_taus(ad.constant(x), 100.0).value
+        fused = smooth_taus(ad.constant(x), 100.0).value
         np.testing.assert_array_equal(fused, smooth_taus_composite(ad.constant(x), 100.0).value)
 
     @settings(max_examples=120, deadline=None)
@@ -405,10 +408,10 @@ class TestFusedSmoothTaus:
         g = ad.constant(rng.normal(size=(1, p)))
 
         taus = [_leaf_grads(lambda x: ad.total(fn(x, a) * g), fs)
-                for fn in (_smooth_taus, smooth_taus_composite)]
+                for fn in (smooth_taus, smooth_taus_composite)]
         _assert_close(taus[0][0], taus[1][0])
         if clip:
-            assert _smooth_taus(ad.constant(fs), a).value[0, 0] == 1.0
+            assert smooth_taus(ad.constant(fs), a).value[0, 0] == 1.0
         _assert_close(taus[0][1][0], taus[1][1][0])
         assert np.all(taus[0][1][0][2 * (n // 2):] == 0.0)  # the dropped odd row
 
@@ -419,11 +422,13 @@ class TestFusedSmoothTaus:
             return copula_distance_graph(x, y, beta, kind, a)
 
         fused = _leaf_grads(cd, fs, ft)
-        with mock.patch.object(cop, "_smooth_taus", smooth_taus_composite):
-            ref = _leaf_grads(cd, fs, ft)
-        _assert_close(fused[0], ref[0])
-        for got, want in zip(fused[1], ref[1]):
-            _assert_close(got, want)
+        for taus, check in ((smooth_taus, _assert_same_bits),
+                            (smooth_taus_composite, _assert_close)):
+            ref = _leaf_grads(
+                lambda x, y: copula_distance_composite(x, y, beta, kind, a, taus), fs, ft)
+            check(fused[0], ref[0])
+            for got, want in zip(fused[1], ref[1], strict=True):
+                check(got, want)
 
     def test_finite_differences(self):
         # a soft tanh keeps the check away from saturation; odd N, m = 4
@@ -431,7 +436,7 @@ class TestFusedSmoothTaus:
         x = rng.normal(size=(9, 4))
         g = ad.constant(rng.normal(size=(1, 6)))
         err = finite_difference_check(
-            lambda f: ad.total(_smooth_taus(f, 0.7) * g), [x])
+            lambda f: ad.total(smooth_taus(f, 0.7) * g), [x])
         assert err < 1e-6
 
     def test_kendall_tau_smooth_keeps_even_contract(self):
@@ -442,6 +447,7 @@ class TestFusedSmoothTaus:
                             1.0, DependenceKind("kl"), 10.0)
 
     def test_builds_one_node(self):
-        x = ad.leaf(np.random.default_rng(2).normal(size=(8, 3)))
-        node = _smooth_taus(x, 5.0)
-        assert node.op == "smooth_taus" and node.parents == (x,)
+        rng = np.random.default_rng(2)
+        x, y = ad.leaf(rng.normal(size=(8, 3))), ad.leaf(rng.normal(size=(6, 3)))
+        node = copula_distance_graph(x, y, 1.0, DependenceKind("kl"), 5.0)
+        assert node.op == "copula_distance" and node.parents == (x, y)

@@ -1,23 +1,26 @@
 """The fused training nodes against the graph composites they replaced.
 
-``autodiff.dense``, ``models._softmax_cross_entropy``, ``coral_penalty_graph``
-and the flat ``training.Adam`` must give the same bits as their composites
-in ``oracles`` (value and every parent's gradient), pass the
-finite-difference check, and leave whole training runs bit-identical.
+``autodiff.dense``, ``models._softmax_cross_entropy``, ``coral_penalty_graph``,
+``copula_distance_graph``, ``w1_columns_graph`` and the flat ``training.Adam``
+must give the same bits as their composites in ``oracles`` (value and every
+parent's gradient), pass the finite-difference check, and leave whole
+training runs bit-identical.
 """
 
 import numpy as np
 import pytest
 
 import copulashift.autodiff as ad
+import copulashift.copula as cop
 import copulashift.divergences as dv
 import copulashift.models as models
 import copulashift.training as training
 from copulashift.datasets import Dataset
 from copulashift.errors import ContractViolation, ShapeError
 from copulashift.experiments import moons_config, moons_pair
-from oracles import (AdamPerArray, coral_penalty_composite, cross_entropy_composite,
-                     dense_composite, finite_difference_check)
+from oracles import (AdamPerArray, copula_distance_composite, coral_penalty_composite,
+                     cross_entropy_composite, dense_composite, finite_difference_check,
+                     w1_columns_composite)
 
 
 def _same_bits(a, b):
@@ -149,6 +152,112 @@ class TestCoral:
             assert finite_difference_check(dv.coral_penalty_graph, [xs, xt]) < 1e-5
 
 
+def _relu_like(rng, n, m, dead=(), constant=()):
+    """ReLU-style features: about half the entries 0, the ``dead`` columns all 0."""
+    x = np.maximum(rng.normal(size=(n, m)) + rng.normal(size=m), 0.0)
+    x[:, list(dead)] = 0.0
+    x[:, list(constant)] = 1.25
+    return x
+
+
+def _signed_zeros(rng, n, m, live):
+    """Dead columns of mixed -0.0 and +0.0 entries, but for column ``live``."""
+    x = np.where(rng.random((n, m)) < 0.5, -0.0, 0.0)
+    x[:, live] = rng.normal(size=n)
+    return x
+
+
+# (source, target) inputs by name: which columns are dead (all row pairs
+# equal) in which domain, and the odd shapes
+_CD_CASES = {
+    "all-live": lambda rng: (rng.normal(size=(64, 5)), rng.normal(size=(64, 5))),
+    "dead-in-source": lambda rng: (_relu_like(rng, 40, 6, dead=(1, 4)), _relu_like(rng, 40, 6)),
+    "dead-in-both": lambda rng: (_relu_like(rng, 40, 6, dead=(0, 3)),
+                                 _relu_like(rng, 40, 6, dead=(3, 5))),
+    "one-live-column": lambda rng: (_relu_like(rng, 30, 4, dead=(0, 1, 3)),
+                                    _relu_like(rng, 30, 4, dead=(2,))),
+    "all-dead": lambda rng: (np.zeros((10, 3)), _relu_like(rng, 10, 3, dead=(0, 1, 2))),
+    "constant-nonzero": lambda rng: (_relu_like(rng, 24, 5, constant=(2,)),
+                                     _relu_like(rng, 24, 5, dead=(4,), constant=(0,))),
+    "negative-zeros": lambda rng: (_signed_zeros(rng, 20, 4, live=2), rng.normal(size=(20, 4))),
+    "odd-and-unequal": lambda rng: (_relu_like(rng, 37, 5, dead=(2,)), _relu_like(rng, 22, 5)),
+    # k = 1, where einsum sums the kernel in unrolled blocks, not in order
+    "one-row-pair": lambda rng: (_relu_like(rng, 3, 8, dead=(1, 4)), rng.normal(size=(2, 8))),
+    "m-is-2": lambda rng: (_relu_like(rng, 15, 2), _relu_like(rng, 16, 2, dead=(0,))),
+    "wide": lambda rng: (_relu_like(rng, 256, 64, dead=range(0, 64, 3)),
+                         _relu_like(rng, 256, 64, dead=range(1, 64, 5))),
+    # every row pair differs by 20 in columns 0 and 1: tau = 1, rho on the clip
+    "clipped-rho": lambda rng: (np.column_stack([np.tile([10.0, -10.0], 8)] * 2
+                                                + [rng.normal(size=(16, 2))]),
+                                _relu_like(rng, 16, 4, dead=(3,))),
+}
+
+
+class TestCopulaDistanceNode:
+    @pytest.mark.parametrize("tag", cop.H2_TAGS)
+    @pytest.mark.parametrize("case", sorted(_CD_CASES))
+    def test_matches_composite(self, case, tag):
+        rng = np.random.default_rng(sum(map(ord, case + tag)))
+        fs, ft = _CD_CASES[case](rng)
+        for a in (0.7, 100.0):
+            _assert_matches(cop.copula_distance_graph, copula_distance_composite, [fs, ft],
+                            0.35, cop.DependenceKind(tag), a)
+
+    def test_clipped_and_dead_cases_are_what_they_say(self):
+        rng = np.random.default_rng(0)
+        fs, _ = _CD_CASES["clipped-rho"](rng)
+        assert cop.kendall_tau_smooth(fs[:, :2], 100.0) == 1.0
+        for case, dead_s, dead_t in [("one-live-column", 3, 1), ("all-dead", 3, 3),
+                                     ("negative-zeros", 3, 0)]:
+            fs, ft = _CD_CASES[case](rng)
+            for f, dead in ((fs, dead_s), (ft, dead_t)):
+                assert np.sum(~(cop._paired_diffs(f) != 0.0).any(axis=1)) == dead
+        assert np.signbit(_CD_CASES["negative-zeros"](rng)[0]).any()
+
+    def test_one_node_with_both_domains_as_parents(self):
+        fs, ft = ad.leaf(np.eye(4)), ad.leaf(np.ones((6, 4)))
+        node = cop.copula_distance_graph(fs, ft, 1.0, cop.DependenceKind("kl"), 10.0)
+        assert node.parents == (fs, ft)
+
+    @pytest.mark.parametrize("tag", cop.H2_TAGS)
+    def test_finite_differences(self, tag):
+        # a soft tanh keeps the check away from saturation; odd N, a dead column
+        rng = np.random.default_rng(len(tag))
+        kind = cop.DependenceKind(tag)
+        for _ in range(3):
+            fs, ft = rng.normal(size=(9, 4)), rng.normal(size=(8, 4))
+            ft[:, 2] = 0.5
+            err = finite_difference_check(
+                lambda x, y: cop.copula_distance_graph(x, y, 0.6, kind, 0.7), [fs, ft])
+            assert err < 1e-5
+
+
+class TestW1Node:
+    @pytest.mark.parametrize("shape", [(922, 4), (256, 64), (7, 3), (6, 1), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_composite(self, shape, ties):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + ties)
+        if ties:  # dead ReLU zeros and repeated values: the stable order routes the gradient
+            inputs = [_relu_like(rng, *shape, dead=(0,)),
+                      np.round(rng.normal(size=shape), 0)]
+        else:
+            inputs = [rng.normal(size=shape), rng.normal(0.3, 1.2, size=shape)]
+        _assert_matches(dv.w1_columns_graph, w1_columns_composite, inputs)
+
+    def test_one_node_and_equal_shapes(self):
+        fs, ft = ad.leaf(np.eye(3)), ad.leaf(np.ones((3, 3)))
+        assert dv.w1_columns_graph(fs, ft).parents == (fs, ft)
+        with pytest.raises(ShapeError):
+            dv.w1_columns_graph(fs, ad.leaf(np.ones((4, 3))))
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            # continuous draws: no ties, so the sort is locally constant
+            xs, xt = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+            assert finite_difference_check(dv.w1_columns_graph, [xs, xt]) < 1e-6
+
+
 class TestFlatAdam:
     def test_matches_per_array_steps_in_any_layout(self):
         rng = np.random.default_rng(8)
@@ -179,22 +288,24 @@ def _patched(monkeypatch):
     monkeypatch.setattr(models, "_softmax_cross_entropy", cross_entropy_composite)
     monkeypatch.setattr(dv, "coral_penalty_graph", coral_penalty_composite)
     monkeypatch.setattr(training, "Adam", AdamPerArray)
+    monkeypatch.setattr(cop, "copula_distance_graph", copula_distance_composite)
+    monkeypatch.setattr(dv, "w1_columns_graph", w1_columns_composite)
 
 
-def _moons_run(method, seed, **overrides):
-    src, tgt = moons_pair(3.0, seed, n_per_class=120)
+def _moons_run(method, seed, n_per_class=120, **overrides):
+    src, tgt = moons_pair(3.0, seed, n_per_class=n_per_class)
     cfg = training.TrainConfig.from_dict({"seed": seed, **overrides}, base=moons_config(method))
     return training.train(src, tgt.unlabeled(), cfg)
 
 
-def _regression_run(method, seed):
+def _regression_run(method, seed, hidden=(5, 3), activation="tanh"):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(90, 3))
     src = Dataset(x, np.tanh(x[:, 0]) + 0.1 * x[:, 1])
     tgt = Dataset(rng.normal(0.4, 1.2, size=(70, 3)), None, domain="target")
     cfg = training.TrainConfig.from_dict({
         "seed": seed, "method": method, "max_epochs": 12, "batch_size": 32,
-        "model": {"hidden": [5, 3], "task": "regression", "activation": "tanh"}})
+        "model": {"hidden": list(hidden), "task": "regression", "activation": activation}})
     return training.train(src, tgt, cfg)
 
 
@@ -217,3 +328,63 @@ def test_training_is_bit_identical_to_the_composites(run, seed, monkeypatch):
     for mine, theirs in zip(params.flat_arrays(), oracle_params.flat_arrays(), strict=True):
         _same_bits(mine, theirs)
     assert [t.to_dict() for t in trace] == [t.to_dict() for t in oracle_trace]
+
+
+# the cdan cells whose copula distance and W1 term are fused nodes
+CDAN_RUNS = {
+    **{f"cdan-{h1}-{h2}": (lambda seed, h1=h1, h2=h2:
+                           _moons_run("cdan", seed, max_epochs=15, h1=h1, h2=h2))
+       for h1 in ("w1", "kl") for h2 in cop.H2_TAGS},
+    "wide-cdan": lambda seed: _moons_run("cdan", seed, n_per_class=500, max_epochs=2,
+                                         batch_size=256, model={"hidden": [32, 64]}),
+    "cdan-tanh": lambda seed: _moons_run("cdan", seed, max_epochs=15,
+                                         model={"hidden": [6, 3], "activation": "tanh"}),
+    "regression-cdan": lambda seed: _regression_run("cdan", seed, (8, 8), "relu"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("run", sorted(CDAN_RUNS))
+def test_cdan_training_is_bit_identical_to_the_composites(run, seed, monkeypatch):
+    params, trace = CDAN_RUNS[run](seed)
+    with monkeypatch.context() as patch:
+        _patched(patch)
+        oracle_params, oracle_trace = CDAN_RUNS[run](seed)
+    for mine, theirs in zip(params.flat_arrays(), oracle_params.flat_arrays(), strict=True):
+        _same_bits(mine, theirs)
+    assert [t.to_dict() for t in trace] == [t.to_dict() for t in oracle_trace]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_shift_diagnostics_are_bit_identical_to_the_composites(seed, monkeypatch):
+    src, tgt = moons_pair(3.0, seed, n_per_class=150)
+    rng = np.random.default_rng(seed)
+    samples = (Dataset(_relu_like(rng, 301, 6, dead=(1,))),
+               Dataset(_relu_like(rng, 200, 6, constant=(4,))))
+
+    def diagnostics():
+        cfg = moons_config("cdan")
+        params, _ = training.train(src, tgt.unlabeled(), cfg)
+        out = []
+        for h2 in cop.H2_TAGS:
+            cfg_h2 = training.TrainConfig.from_dict({"h2": h2}, base=cfg)
+            out.append(training.learned_shift(params, src, tgt, cfg_h2))
+            out.append(training.shift_report(*samples, dv.DivergenceKind("w1"),
+                                             cop.DependenceKind(h2), beta=0.7).to_dict())
+        return out
+
+    mine = diagnostics()
+    with monkeypatch.context() as patch:
+        _patched(patch)
+        assert diagnostics() == mine
+
+
+@pytest.mark.parametrize("tag", cop.H2_TAGS)
+def test_a_moons_cdan_step_reaches_few_nodes(tag):
+    # the graph composites of the copula distance and the W1 term made one
+    # step reach 45, 49, 61 and 75 nodes for kl, chi2, w2 and mmd
+    src, tgt = moons_pair(3.0, 0)
+    cfg = training.TrainConfig.from_dict({"h2": tag}, base=moons_config("cdan"))
+    params = models.init_params(cfg.model, src.dim, 0)
+    loss, _, _ = training._batch_loss(params, src.features, src.labels, tgt.features, cfg)
+    assert len(ad._reachable(loss)) == 19

@@ -17,7 +17,7 @@ from copulashift.training import (METHODS, TrainConfig, _auc_mann_whitney, _batc
                                   learned_shift, run_experiment,
                                   shift_report, train)
 import copulashift.autodiff as ad
-from oracles import auc_tie_loop
+from oracles import absolute, auc_tie_loop
 
 
 def moons_domains(n_per_class=80, stretch=3.0, seed=0):
@@ -198,7 +198,7 @@ def w1_per_column(fs, ft):
         cs, ct = ad.take_cols(fs, [c]), ad.take_cols(ft, [c])
         order_s = np.argsort(cs.value.ravel(), kind="stable")
         order_t = np.argsort(ct.value.ravel(), kind="stable")
-        term = ad.mean(ad.absolute(
+        term = ad.mean(absolute(
             ad.take_rows(cs, order_s) - ad.take_rows(ct, order_t)))
         total = term if total is None else total + term
     return total
