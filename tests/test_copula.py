@@ -377,7 +377,7 @@ def _assert_close(got, ref):
 
 
 class TestFusedSmoothTaus:
-    """The tau node and the one-node copula distance against their composites (tests/oracles.py)."""
+    """The tau node and the one-node copula distance against their oracles."""
 
     @pytest.mark.parametrize("shape", [(256, 64), (1024, 64), (64, 5), (10, 2),
                                        (6, 3), (7, 3)])
