@@ -107,9 +107,6 @@ class Node:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -253,14 +250,14 @@ def sqrt(a) -> Node:
     if np.any(a.value < 0.0):
         raise DomainError("sqrt: operand must be nonnegative")
     out = _seal(np.sqrt(a.value))
+    return Node(out, "sqrt", (a,), lambda g: (g * _dsqrt(out),))
 
-    def back(g):
-        # subgradient 0 at the origin
-        d = np.zeros_like(out)
-        np.divide(0.5, out, out=d, where=out > 0.0)
-        return (g * d,)
 
-    return Node(out, "sqrt", (a,), back)
+def _dsqrt(root: np.ndarray) -> np.ndarray:
+    """sqrt's derivative given its output, with subgradient 0 at the origin."""
+    d = np.zeros_like(root)
+    np.divide(0.5, root, out=d, where=root > 0.0)
+    return d
 
 
 def tanh(a) -> Node:
@@ -334,32 +331,18 @@ def _gather_index(op: str, indices, bound: int, axis: str) -> np.ndarray:
     return idx
 
 
-def _scatter_add(shape, rows, cols, g: np.ndarray) -> np.ndarray:
-    """Zeros of ``shape`` with ``g[k, l]`` added at ``(rows[k, l], cols[k, l])``.
-
-    ``rows`` and ``cols`` broadcast to ``g.shape``. ``bincount`` adds the
-    weights in order of occurrence starting from zero, as ``np.add.at``
-    does, so duplicate indices accumulate bit-identically to it. ``g`` is
-    walked in its own memory order, which saves a copy when it is
-    Fortran-ordered (as gathered columns are); in either order the
-    duplicates of one gathered row or column arrive in increasing index
-    order, so the sums do not change.
-    """
-    order = "F" if g.flags.f_contiguous and not g.flags.c_contiguous else "C"
-    flat = np.empty(g.shape, dtype=np.intp, order=order)
-    np.add(rows * shape[1], cols, out=flat)
-    return np.bincount(flat.ravel(order), weights=g.ravel(order),
-                       minlength=shape[0] * shape[1]).reshape(shape)
-
-
 def take_rows(a, indices) -> Node:
     """Gather rows by integer index; duplicates scatter-add in the backward pass."""
     a = constant(a)
     idx = _gather_index("take_rows", indices, a.shape[0], "rows")
     out = _seal(a.value[idx, :])
-    shape = a.shape
-    return Node(out, "take_rows", (a,),
-                lambda g: (_scatter_add(shape, idx[:, None], np.arange(shape[1]), g),))
+
+    def back(g):
+        grad = np.zeros(a.shape)
+        np.add.at(grad, idx, g)
+        return (grad,)
+
+    return Node(out, "take_rows", (a,), back)
 
 
 def take_cols(a, indices) -> Node:
@@ -367,9 +350,13 @@ def take_cols(a, indices) -> Node:
     a = constant(a)
     idx = _gather_index("take_cols", indices, a.shape[1], "columns")
     out = _seal(a.value[:, idx])
-    shape = a.shape
-    return Node(out, "take_cols", (a,),
-                lambda g: (_scatter_add(shape, np.arange(shape[0])[:, None], idx, g),))
+
+    def back(g):
+        grad = np.zeros(a.shape)
+        np.add.at(grad, (slice(None), idx), g)
+        return (grad,)
+
+    return Node(out, "take_cols", (a,), back)
 
 
 # numpy adds the items of a row shorter than 8 one by one starting from +0.0

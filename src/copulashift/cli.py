@@ -127,7 +127,9 @@ def cmd_train(args) -> int:
     else:
         model = {"task": "regression"}
     config = _resolve_config(args, model=model)
-    params, trace = train(source, target.unlabeled(), config)
+    # a diverging run ends in train's one non-finite-loss error, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, trace = train(source, target.unlabeled(), config)
 
     ckpt_path, trace_path = ex.out_paths(args.out, ".ckpt.json", ".trace.json")
     resolved = {"config": config.to_dict(), "source": str(args.source),

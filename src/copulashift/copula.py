@@ -109,17 +109,10 @@ def _tanh_products(dT: np.ndarray, a: float) -> np.ndarray:
 
 # -- closed-form pairwise divergences ------------------------------------------
 
-def _dsqrt(root: np.ndarray) -> np.ndarray:
-    # sqrt's derivative given its output, with subgradient 0 at the origin
-    d = np.zeros_like(root)
-    np.divide(0.5, root, out=d, where=root > 0.0)
-    return d
-
-
 def _clamped_root(sq: np.ndarray, back):
     """sqrt(max(sq, 0)), and ``back`` composed with its gradient."""
     root = np.sqrt(np.clip(sq, 0.0, None))
-    return root, lambda g: back(g * _dsqrt(root) * (sq > 0.0))
+    return root, lambda g: back(g * ad._dsqrt(root) * (sq > 0.0))
 
 
 def _divergence_from_det(det: np.ndarray, tag: str):
@@ -137,14 +130,14 @@ def _divergence_from_det(det: np.ndarray, tag: str):
         r1 = np.sqrt(det)
         r2 = np.sqrt(r1 * 2.0 + 2.0)
         return _clamped_root(4.0 - r2 * 2.0,
-                             lambda g: -g * 2.0 * _dsqrt(r2) * 2.0 * _dsqrt(r1))
+                             lambda g: -g * 2.0 * ad._dsqrt(r2) * 2.0 * ad._dsqrt(r1))
     # tag == "mmd"
     s1 = np.sqrt(det * 16.0 + 9.0)
     s2 = np.sqrt(det * 4.0 + 21.0)
     return _clamped_root(
         (1.0 / s1 + 0.2) - 2.0 / s2,
-        lambda g: g * 2.0 / (s2 * s2) * _dsqrt(s2) * 4.0
-        + -g / (s1 * s1) * _dsqrt(s1) * 16.0)
+        lambda g: g * 2.0 / (s2 * s2) * ad._dsqrt(s2) * 4.0
+        + -g / (s1 * s1) * ad._dsqrt(s1) * 16.0)
 
 
 def pair_dependence_divergence(rho: float, kind: DependenceKind) -> float:

@@ -100,10 +100,11 @@ class ModelParams:
         out.extend(self.head)
         return out
 
-    def copy(self) -> "ModelParams":
+    def map(self, fn) -> "ModelParams":
+        """The same model with ``fn`` applied to each array, in ``flat_arrays`` order."""
         return ModelParams(self.spec, self.input_dim,
-                           [(w.copy(), b.copy()) for w, b in self.extractor],
-                           (self.head[0].copy(), self.head[1].copy()))
+                           [(fn(w), fn(b)) for w, b in self.extractor],
+                           (fn(self.head[0]), fn(self.head[1])))
 
 
 def init_params(spec: LayerSpec, input_dim: int, seed: int) -> ModelParams:
@@ -155,6 +156,16 @@ def predict_regression(x, params: ModelParams) -> np.ndarray:
     return head_outputs(extract_features(x, params), params).value.ravel()
 
 
+def check_class_indices(who: str, labels: np.ndarray, n_classes: int) -> None:
+    """Reject labels that are not integer class indices in [0, n_classes)."""
+    if labels.size == 0 or not np.issubdtype(labels.dtype, np.integer):
+        raise ContractViolation(f"{who}: labels must be integer class indices")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ContractViolation(
+            f"{who}: labels must lie in [0, {n_classes}), got "
+            f"range [{labels.min()}, {labels.max()}]")
+
+
 def cross_entropy_loss(features: ad.Node, labels, params: ModelParams) -> ad.Node:
     """Mean cross-entropy of the softmax head on extracted features.
 
@@ -168,12 +179,7 @@ def cross_entropy_loss(features: ad.Node, labels, params: ModelParams) -> ad.Nod
         raise ContractViolation(
             f"cross_entropy_loss: {y.shape[0]} labels for {features.shape[0]} rows")
     n_classes = params.spec.n_classes
-    if y.size == 0 or not np.issubdtype(y.dtype, np.integer):
-        raise ContractViolation("cross_entropy_loss: labels must be integer class indices")
-    if y.min() < 0 or y.max() >= n_classes:
-        raise ContractViolation(
-            f"cross_entropy_loss: labels must lie in [0, {n_classes}), got "
-            f"range [{y.min()}, {y.max()}]")
+    check_class_indices("cross_entropy_loss", y, n_classes)
     onehot = np.zeros((y.size, n_classes))
     onehot[np.arange(y.size), y] = 1.0
     return _softmax_cross_entropy(head_outputs(features, params), onehot)

@@ -24,8 +24,8 @@ from . import divergences as dv
 from . import copula as cop
 from .datasets import Dataset, batch_iterator, MinMaxStats
 from .errors import ContractViolation, is_finite_real, is_int
-from .models import (LayerSpec, ModelParams, init_params, extract_features,
-                     cross_entropy_loss, mse_loss, predict_proba,
+from .models import (LayerSpec, ModelParams, check_class_indices, init_params,
+                     extract_features, cross_entropy_loss, mse_loss, predict_proba,
                      predict_regression)
 
 METHODS = ("mlp", "dan", "coral", "cdan")
@@ -184,23 +184,10 @@ class Adam:
             start += a.size
 
 
-def _node_view(params: ModelParams):
-    """A ModelParams whose arrays are fresh leaf nodes, plus the node list."""
-    ext, nodes = [], []
-    for w, b in params.extractor:
-        wn, bn = ad.leaf(w), ad.leaf(b)
-        ext.append((wn, bn))
-        nodes.extend([wn, bn])
-    hw, hb = ad.leaf(params.head[0]), ad.leaf(params.head[1])
-    nodes.extend([hw, hb])
-    view = ModelParams(params.spec, params.input_dim, ext, (hw, hb))
-    return view, nodes
-
-
-def _supervised_loss(features, labels, params_view) -> ad.Node:
-    if params_view.spec.task == "classification":
-        return cross_entropy_loss(features, labels, params_view)
-    return mse_loss(features, labels, params_view)
+def _supervised_loss(features, labels, params) -> ad.Node:
+    if params.spec.task == "classification":
+        return cross_entropy_loss(features, labels, params)
+    return mse_loss(features, labels, params)
 
 
 def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node:
@@ -227,7 +214,7 @@ def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node
 
 def _batch_loss(params, xs, ys, xt, config: TrainConfig):
     """Build the full loss graph for one batch; returns scalars for the trace."""
-    view, nodes = _node_view(params)
+    view = params.map(ad.leaf)
     f_s = extract_features(ad.constant(xs), view)
     sup = _supervised_loss(f_s, ys, view)
     md = cd = None
@@ -250,8 +237,8 @@ def _batch_loss(params, xs, ys, xt, config: TrainConfig):
         loss = loss + md
     if cd is not None:
         loss = loss + cd
-    return loss, nodes, (0.0 if md is None else md.item(),
-                         0.0 if cd is None else cd.item())
+    return loss, view.flat_arrays(), (0.0 if md is None else md.item(),
+                                      0.0 if cd is None else cd.item())
 
 
 def _holdout_split(n: int, fraction: float, seed: int):
@@ -266,9 +253,8 @@ def _holdout_split(n: int, fraction: float, seed: int):
 def _validation_loss(params, ds: Dataset, idx) -> float | None:
     if idx.size == 0:
         return None
-    view, _ = _node_view(params)
-    feats = extract_features(ad.constant(ds.features[idx]), view)
-    return _supervised_loss(feats, ds.labels[idx], view).item()
+    feats = extract_features(ds.features[idx], params)
+    return _supervised_loss(feats, ds.labels[idx], params).item()
 
 
 def train(source: Dataset, target: Dataset, config: TrainConfig):
@@ -337,7 +323,7 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
         if val is not None and config.early_stop_patience > 0:
             if val < best_val:
                 best_val = val
-                best_params = params.copy()
+                best_params = params.map(np.copy)
                 patience_left = config.early_stop_patience
             else:
                 patience_left -= 1
@@ -386,6 +372,7 @@ def evaluate_classification(params: ModelParams, ds: Dataset) -> ClassificationM
     """Accuracy under argmax and the Mann-Whitney AUC of class-1 scores."""
     if ds.labels is None:
         raise ContractViolation("evaluate_classification: dataset is unlabeled")
+    check_class_indices("evaluate_classification", ds.labels, params.spec.n_classes)
     probs = predict_proba(ds.features, params)
     acc = float(np.mean(np.argmax(probs, axis=1) == ds.labels))
     auc = _auc_mann_whitney(probs[:, 1], np.asarray(ds.labels))
@@ -398,6 +385,8 @@ def evaluate_regression(params: ModelParams, ds: Dataset,
     if ds.labels is None:
         raise ContractViolation("evaluate_regression: dataset is unlabeled")
     y = np.asarray(ds.labels, dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise ContractViolation("evaluate_regression: labels must be finite")
     pred = predict_regression(ds.features, params)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:

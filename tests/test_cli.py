@@ -195,7 +195,6 @@ class TestTrainEval:
         assert json.loads((tmp_path / "scores.json").read_text()) == doc
 
     # a learning rate of 1e300 overflows the features on purpose
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_is_one_error_line(self, tmp_path, capsys):
         src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
         tgt = make_moons_csv(tmp_path, "tgt.csv", stretch=3, seed=2)
@@ -349,6 +348,28 @@ class TestTrainEval:
         code = run_cli("eval", "--checkpoint", tmp_path / "m.ckpt.json", "--data", empty)
         assert code == cli.EXIT_USAGE
         assert f"error: eval: {empty} has no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, label", [("classification", "2"),
+                                             ("classification", "nan"),
+                                             ("regression", "nan")])
+    def test_eval_on_labels_the_checkpoint_cannot_score_exits_usage(
+            self, tmp_path, capsys, task, label):
+        if task == "classification":
+            data = make_moons_csv(tmp_path, "d.csv", stretch=1, seed=1)
+            assert run_cli("train", "--source", data, "--target", data, "--epochs", 1,
+                           "--out", tmp_path / "m") == cli.EXIT_OK
+        else:
+            data = make_regression_csv(tmp_path, "d.csv", seed=0)
+            (tmp_path / "m.ckpt.json").write_text(json.dumps(_CKPT))
+        lines = data.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + label
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", tmp_path / "m.ckpt.json", "--data", data)
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: evaluate_") and "labels" in err
 
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as info:

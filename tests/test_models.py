@@ -212,7 +212,23 @@ class TestCheckpointRoundTrip:
             load_params(path)
 
     def test_copy_is_deep(self):
-        params = init_params(LayerSpec(hidden=(4,)), 2, seed=0)
-        clone = params.copy()
-        clone.extractor[0][0][0, 0] += 1.0
-        assert params.extractor[0][0][0, 0] != clone.extractor[0][0][0, 0]
+        params = init_params(LayerSpec(hidden=(4, 3)), 2, seed=0)
+        clone = params.map(np.copy)
+        for a, b in zip(params.flat_arrays(), clone.flat_arrays(), strict=True):
+            assert a.tobytes() == b.tobytes()
+            b += 1.0
+            assert not np.shares_memory(a, b) and a.tobytes() != b.tobytes()
+
+    def test_map_applies_fn_in_flat_order(self):
+        params = init_params(LayerSpec(hidden=(4, 3, 2), n_classes=3), 5, seed=1)
+        seen = []
+
+        def fn(a):
+            seen.append(a)
+            return a * 2.0 + 1.0
+
+        mapped = params.map(fn)
+        assert [id(a) for a in seen] == [id(a) for a in params.flat_arrays()]
+        assert mapped.spec == params.spec and mapped.input_dim == params.input_dim
+        for got, a in zip(mapped.flat_arrays(), params.flat_arrays(), strict=True):
+            assert got.tobytes() == (a * 2.0 + 1.0).tobytes()

@@ -11,8 +11,7 @@ from copulashift.datasets import (Dataset, MinMaxStats, MoonsConfig,
 from copulashift.errors import ContractViolation
 from copulashift.models import LayerSpec, extract_features, init_params
 from copulashift.training import (METHODS, TrainConfig, _auc_mann_whitney, _batch_loss,
-                                  _marginal_term, _node_view,
-                                  _supervised_loss, aggregate_metrics,
+                                  _marginal_term, _supervised_loss, aggregate_metrics,
                                   evaluate_classification, evaluate_regression,
                                   learned_shift, run_experiment,
                                   shift_report, train)
@@ -318,9 +317,23 @@ class TestTrainLoop:
         cfg = quick_config("cdan", alpha=0.4, beta=0.3)
         params = init_params(cfg.model, 2, seed=4)
         loss, _, (md, cd) = _batch_loss(params, xs, ys, xt, cfg)
-        view, _ = _node_view(params)
-        sup = _supervised_loss(extract_features(ad.constant(xs), view), ys, view)
+        sup = _supervised_loss(extract_features(xs, params), ys, params)
         assert abs(loss.item() - (sup.item() + md + cd)) <= 1e-12
+
+    def test_batch_loss_differentiates_the_mapped_leaves(self):
+        rng = np.random.default_rng(8)
+        xs, xt = rng.normal(size=(16, 2)), rng.normal(size=(16, 2))
+        ys = rng.integers(0, 2, size=16)
+        cfg = quick_config("cdan", alpha=0.4, beta=0.3)
+        params = init_params(cfg.model, 2, seed=2)
+        loss, nodes, _ = _batch_loss(params, xs, ys, xt, cfg)
+        mapped = params.map(ad.leaf).flat_arrays()
+        assert [n.op for n in nodes] == ["leaf"] * len(mapped)
+        assert [n.index for n in nodes] == sorted(n.index for n in nodes)
+        for node, leaf, a in zip(nodes, mapped, params.flat_arrays(), strict=True):
+            assert node.value.tobytes() == leaf.value.tobytes() == a.tobytes()
+        reached = set(ad._reachable(loss))
+        assert all(n in reached for n in nodes)
 
     def test_early_stopping_restores_best_parameters(self):
         from copulashift.training import _holdout_split, _validation_loss
