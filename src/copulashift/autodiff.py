@@ -204,13 +204,7 @@ def dense(x, w, b, activation=None) -> Node:
         raise ShapeError("dense", (x.shape[0], w.shape[1]), b.shape)
     if activation not in (None, "relu", "tanh"):
         raise ContractViolation(f"dense: unknown activation {activation!r}")
-    z = x.value @ w.value
-    z += b.value
-    out = z
-    if activation == "relu":
-        out = np.maximum(z, 0.0)
-    elif activation == "tanh":
-        out = np.tanh(z)
+    z, out = layer(x.value, w.value, b.value, activation)
 
     def back(g):
         if activation == "relu":
@@ -220,6 +214,20 @@ def dense(x, w, b, activation=None) -> Node:
         return (g @ w.value.T, x.value.T @ g, _column_sums(g))
 
     return Node(_seal(out), "dense", (x, w, b), back)
+
+
+def layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, activation=None):
+    """``act(x @ w + b)`` on plain arrays: the pre-activation and the output.
+
+    ``dense`` and ``models.forward`` both run it, so they share their bits.
+    """
+    z = x @ w
+    z += b
+    if activation == "relu":
+        return z, np.maximum(z, 0.0)
+    if activation == "tanh":
+        return z, np.tanh(z)
+    return z, z
 
 
 def _column_sums(g: np.ndarray) -> np.ndarray:

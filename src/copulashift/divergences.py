@@ -266,24 +266,25 @@ def w1_columns_graph(fs: ad.Node, ft: ad.Node) -> ad.Node:
     """Sum over columns of W1 between two (n, m) samples of equal size, as one node.
 
     Each column's W1 is the mean absolute difference of the sorted samples.
-    The node replays the graph composite (stable sort of each column, sub,
-    abs, column means, total) op for op, so its bits are the same: stably
-    sorted ties route their gradients as the composite did.
+    The node replays the graph composite (sort of each column, sub, abs,
+    column means, total) op for op, so its bits are the same. The sort is
+    numpy's default, not a stable one: tied values (dead ReLU zeros) give
+    the same value either way, but may route their gradients to one another.
     """
     if fs.shape != ft.shape:
         raise ShapeError("w1_columns_graph", fs.shape, ft.shape)
     n, m = fs.shape
 
     def sort_cols(f):
-        # flat index into f of each column's ascending order; the stable sort
-        # runs on the contiguous transposed copy
-        order = np.argsort(np.ascontiguousarray(f.value.T), axis=1, kind="stable")
+        # flat index into f of each column's ascending order; the sort runs
+        # on the contiguous transposed copy
+        order = np.argsort(np.ascontiguousarray(f.value.T), axis=1)
         flat = order.T * m + np.arange(m)
         return flat, np.take(f.value, flat)
 
     (flat_s, sorted_s), (flat_t, sorted_t) = sort_cols(fs), sort_cols(ft)
     diff = sorted_s - sorted_t
-    out = np.array([[np.abs(diff).mean(axis=0, keepdims=True).sum()]])
+    out = np.array([[(ad._column_sums(np.abs(diff)) / n).sum()]])
 
     def back(g):
         g_diff = np.full((1, m), g[0, 0]) / n * np.sign(diff)

@@ -4,8 +4,9 @@ A model is a plain MLP split in two: the extractor (all hidden layers,
 whose final width m is the representation the shift regularizers act on)
 and the head (a single linear layer producing class logits or a scalar).
 Parameters are Glorot-uniform initialized with zero biases and live in
-plain numpy arrays; the forward passes build graph nodes so every loss is
-differentiable end to end.
+one float64 buffer, of which each weight array is a read-only view. A
+training step builds graph nodes on them so every loss is differentiable
+end to end; scoring runs the plain numpy ``forward``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation, ShapeError, is_int
+from .errors import ContractViolation, DomainError, ShapeError, is_int
 
 _CHECKPOINT_FORMAT = "copulashift-params-v1"
 
@@ -68,12 +69,18 @@ class LayerSpec:
 
 @dataclass
 class ModelParams:
-    """Extractor and head weights; arrays are mutated only by the optimizer."""
+    """Extractor and head weights.
+
+    Given arrays, it copies them into ``flat``, one C-ordered float64 buffer
+    in ``flat_arrays`` order, and keeps each W and b as a read-only view of
+    it; only the optimizer writes ``flat``. A model of nodes has no buffer.
+    """
 
     spec: LayerSpec
     input_dim: int
     extractor: list  # [(W, b), ...] per hidden layer
     head: tuple  # (W, b)
+    flat: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         widths = [self.input_dim, *self.spec.hidden]
@@ -87,6 +94,14 @@ class ModelParams:
                 or b.shape != (1, self.spec.output_dim):
             raise ShapeError("ModelParams head", w.shape,
                              (self.spec.feature_dim, self.spec.output_dim))
+        arrays = self.flat_arrays()
+        if all(isinstance(a, np.ndarray) for a in arrays):
+            self.flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+            frozen = self.flat.view()
+            frozen.setflags(write=False)  # and so are its views
+            parts = np.split(frozen, np.cumsum([a.size for a in arrays])[:-1])
+            views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+            self.extractor, self.head = list(zip(views[:-2:2], views[1:-2:2])), tuple(views[-2:])
 
     @property
     def feature_dim(self) -> int:
@@ -124,6 +139,22 @@ def init_params(spec: LayerSpec, input_dim: int, seed: int) -> ModelParams:
     return ModelParams(spec, int(input_dim), layers[:-1], layers[-1])
 
 
+def forward(x, params: ModelParams) -> np.ndarray:
+    """The extractor's features of a raw batch, as a plain array: no graph nodes.
+
+    Each layer is ``autodiff.layer``, the arithmetic of the ``dense`` node, so
+    the bits are those of ``extract_features(x, params).value``.
+    """
+    out = np.ascontiguousarray(x, dtype=np.float64)
+    if out.ndim != 2 or out.shape[1] != params.input_dim:
+        raise ShapeError("forward", out.shape, (*out.shape[:1], params.input_dim))
+    if not np.isfinite(out).all():
+        raise DomainError("forward: NaN/Inf entries are not admitted")
+    for w, b in params.extractor:
+        out = ad.layer(out, w, b, params.spec.activation)[1]
+    return out
+
+
 def extract_features(x, params: ModelParams) -> ad.Node:
     """Forward pass through the extractor: (N, d) -> (N, m) graph node."""
     node = x if isinstance(x, ad.Node) else ad.constant(x)
@@ -145,15 +176,14 @@ def predict_proba(x, params: ModelParams) -> np.ndarray:
     """Class probabilities for a raw input batch."""
     if params.spec.task != "classification":
         raise ContractViolation("predict_proba: model head is not a classifier")
-    logits = head_outputs(extract_features(x, params), params)
-    return ad.softmax(logits.value)
+    return ad.softmax(ad.layer(forward(x, params), *params.head)[1])
 
 
 def predict_regression(x, params: ModelParams) -> np.ndarray:
     """Scalar predictions (N,) for a raw input batch."""
     if params.spec.task != "regression":
         raise ContractViolation("predict_regression: model head is not a regressor")
-    return head_outputs(extract_features(x, params), params).value.ravel()
+    return ad.layer(forward(x, params), *params.head)[1].ravel()
 
 
 def check_class_indices(who: str, labels: np.ndarray, n_classes: int) -> None:
@@ -178,24 +208,34 @@ def cross_entropy_loss(features: ad.Node, labels, params: ModelParams) -> ad.Nod
     if y.shape[0] != features.shape[0]:
         raise ContractViolation(
             f"cross_entropy_loss: {y.shape[0]} labels for {features.shape[0]} rows")
-    n_classes = params.spec.n_classes
-    check_class_indices("cross_entropy_loss", y, n_classes)
-    onehot = np.zeros((y.size, n_classes))
-    onehot[np.arange(y.size), y] = 1.0
-    return _softmax_cross_entropy(head_outputs(features, params), onehot)
+    check_class_indices("cross_entropy_loss", y, params.spec.n_classes)
+    return _softmax_cross_entropy(head_outputs(features, params),
+                                  one_hot(y, params.spec.n_classes))
+
+
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(N, n_classes) rows holding 1.0 at each checked class index."""
+    out = np.zeros((labels.size, n_classes))
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
+def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """``-total(onehot * log(max(probs, 1e-12))) / n`` as a (1, 1) array."""
+    return np.array([[(np.log(np.maximum(probs, 1e-12)) * onehot).sum()]]) * (-1.0 / len(onehot))
 
 
 def _softmax_cross_entropy(logits: ad.Node, onehot: np.ndarray) -> ad.Node:
-    """``-total(onehot * log(max(softmax(logits), 1e-12))) / n`` as one node.
+    """``cross_entropy`` of ``softmax(logits)`` as one node.
 
     It replays the graph composite op for op, so its bits are the same; a
     row whose true-class probability is clamped gets a zero gradient.
     """
     probs = ad.softmax(logits.value)
+    out = cross_entropy(probs, onehot)
     kept = np.maximum(probs, 1e-12)
     inside = probs > 1e-12
     scale = -1.0 / onehot.shape[0]
-    out = np.array([[(np.log(kept) * onehot).sum()]]) * scale
 
     def back(g):
         g_probs = np.full(onehot.shape, (g * scale)[0, 0]) * onehot / kept * inside

@@ -23,10 +23,11 @@ from . import autodiff as ad
 from . import divergences as dv
 from . import copula as cop
 from .datasets import Dataset, batch_iterator, MinMaxStats
-from .errors import ContractViolation, is_finite_real, is_int
+from . import models
+from .errors import ContractViolation, DomainError, is_finite_real, is_int
 from .models import (LayerSpec, ModelParams, check_class_indices, init_params,
-                     extract_features, cross_entropy_loss, mse_loss, predict_proba,
-                     predict_regression)
+                     extract_features, forward, head_outputs, mse_loss, one_hot,
+                     predict_proba, predict_regression)
 
 METHODS = ("mlp", "dan", "coral", "cdan")
 
@@ -154,40 +155,37 @@ class TraceEntry:
 
 
 class Adam:
-    """First/second-moment adaptive gradient updates, applied in place.
+    """First/second-moment adaptive gradient updates of one parameter buffer.
 
-    The moments of all the arrays are one flat buffer each, so a step is one
-    pass over every parameter, with the bits of a step taken array by array.
+    ``step`` updates ``ModelParams.flat`` in place, and the moments are flat
+    buffers of the same size, so a step is one pass over every parameter,
+    with the bits of a step taken array by array.
     """
 
-    def __init__(self, arrays, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, flat, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        size = sum(a.size for a in arrays)
-        self.m, self.v = np.zeros(size), np.zeros(size)
+        self.m, self.v = np.zeros(flat.size), np.zeros(flat.size)
         self.t = 0
 
-    def step(self, arrays, grads):
+    def step(self, flat, grads):
+        """Update ``flat`` from the gradients of its arrays, in ``flat_arrays`` order."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         g = np.concatenate([grad.ravel() for grad in grads])
-        flat = np.concatenate([a.ravel() for a in arrays])
         self.m *= self.beta1
         self.m += (1.0 - self.beta1) * g
         self.v *= self.beta2
         self.v += (1.0 - self.beta2) * (g * g)
         flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
-        start = 0
-        for a in arrays:  # not ``a.ravel()[...] =``: that writes a copy if ``a`` is strided
-            a[...] = flat[start:start + a.size].reshape(a.shape)
-            start += a.size
 
 
-def _supervised_loss(features, labels, params) -> ad.Node:
+def _supervised_loss(features, targets, params) -> ad.Node:
+    """Against ``one_hot`` rows of checked class indices, or regression values."""
     if params.spec.task == "classification":
-        return cross_entropy_loss(features, labels, params)
-    return mse_loss(features, labels, params)
+        return models._softmax_cross_entropy(head_outputs(features, params), targets)
+    return mse_loss(features, targets, params)
 
 
 def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node:
@@ -212,11 +210,15 @@ def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node
     return total
 
 
-def _batch_loss(params, xs, ys, xt, config: TrainConfig):
-    """Build the full loss graph for one batch; returns scalars for the trace."""
-    view = params.map(ad.leaf)
+def _batch_loss(params, xs, targets, xt, config: TrainConfig):
+    """Build the full loss graph for one batch; returns scalars for the trace.
+
+    The leaves wrap the read-only views of ``params.flat``, uncopied: the
+    optimizer writes it only after ``backward``, and no graph outlives its step.
+    """
+    view = params.map(lambda a: ad.Node(a, "leaf"))
     f_s = extract_features(ad.constant(xs), view)
-    sup = _supervised_loss(f_s, ys, view)
+    sup = _supervised_loss(f_s, targets, view)
     md = cd = None
     if config.method == "dan" and config.lambda_ > 0:
         f_t = extract_features(ad.constant(xt), view)
@@ -250,11 +252,14 @@ def _holdout_split(n: int, fraction: float, seed: int):
     return np.sort(perm[k:]), np.sort(perm[:k])
 
 
-def _validation_loss(params, ds: Dataset, idx) -> float | None:
-    if idx.size == 0:
+def _validation_loss(params, x, targets) -> float | None:
+    """``_supervised_loss`` by the plain forward pass."""
+    if x.shape[0] == 0:
         return None
-    feats = extract_features(ds.features[idx], params)
-    return _supervised_loss(feats, ds.labels[idx], params).item()
+    if params.spec.task == "classification":
+        return float(models.cross_entropy(predict_proba(x, params), targets)[0, 0])
+    resid = predict_regression(x, params) - targets
+    return float((resid * resid).mean())
 
 
 def train(source: Dataset, target: Dataset, config: TrainConfig):
@@ -274,15 +279,18 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
     if source.dim != target.dim:
         raise ContractViolation(
             f"train: source d={source.dim} vs target d={target.dim}")
-    if config.model.task == "classification" \
-            and not np.issubdtype(source.labels.dtype, np.integer):
-        raise ContractViolation("train: classification needs integer labels")
+    targets = source.labels
+    if config.model.task == "classification":  # checked and one-hot once per run
+        check_class_indices("train", targets, config.model.n_classes)
+        targets = one_hot(targets, config.model.n_classes)
 
     params = init_params(config.model, source.dim, config.seed)
-    optimizer = Adam(params.flat_arrays(), config.learning_rate)
+    optimizer = Adam(params.flat, config.learning_rate)
     train_idx, val_idx = _holdout_split(len(source), config.holdout_fraction,
                                         config.seed)
     train_ds = source.subset(train_idx)
+    train_targets = targets[train_idx]
+    val_x, val_targets = source.features[val_idx], targets[val_idx]
     n_t = len(target)
     trace: list[TraceEntry] = []
     best_val = math.inf
@@ -305,25 +313,28 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
         for k, idx in enumerate(batches):
             t_idx = t_perm[cursor:cursor + len(idx)]
             cursor += len(idx)
-            loss, nodes, (md_v, cd_v) = _batch_loss(
-                params, train_ds.features[idx], train_ds.labels[idx],
-                target.features[t_idx], config)
-            if not np.isfinite(loss.value[0, 0]):
+            try:
+                loss, nodes, (md_v, cd_v) = _batch_loss(
+                    params, train_ds.features[idx], train_targets[idx],
+                    target.features[t_idx], config)
+            except DomainError:  # an MMD bandwidth taken from non-finite features
+                loss = None
+            if loss is None or not np.isfinite(loss.value[0, 0]):
                 raise FloatingPointError(
                     f"train: non-finite loss at epoch {epoch}, batch {k}")
             ad.backward(loss)
-            optimizer.step(params.flat_arrays(), [n.grad for n in nodes])
+            optimizer.step(params.flat, [n.grad for n in nodes])
             loss_sum += loss.item()
             md_sum += md_v
             cd_sum += cd_v
         nb = max(1, len(batches))
-        val = _validation_loss(params, source, val_idx)
+        val = _validation_loss(params, val_x, val_targets)
         trace.append(TraceEntry(epoch, loss_sum / nb, md_sum / nb,
                                 cd_sum / nb, val))
         if val is not None and config.early_stop_patience > 0:
             if val < best_val:
                 best_val = val
-                best_params = params.map(np.copy)
+                best_params = replace(params)  # __post_init__ packs one copy
                 patience_left = config.early_stop_patience
             else:
                 patience_left -= 1
@@ -450,8 +461,7 @@ def learned_shift(params: ModelParams, source: Dataset, target: Dataset,
     Uses H1/H2 from the config with beta = 1 so the numbers are comparable
     across methods regardless of alpha/beta.
     """
-    md, cd = _md_and_cd(extract_features(source.features, params).value,
-                        extract_features(target.features, params).value,
+    md, cd = _md_and_cd(forward(source.features, params), forward(target.features, params),
                         config.h1, config.h2, 1.0, config.tanh_a)
     return float(sum(md)), 0.0 if cd is None else cd
 

@@ -6,10 +6,14 @@ Run from the root of a checkout:
 
 It imports the package from this checkout's ``src``, trains each cell below
 at seeds 0 and 5, and prints one JSON object mapping ``<cell>@<seed>`` to
-``{"params": ..., "trace": ...}``: the SHA-256 of the trained parameter
-bytes (float64, in ``flat_arrays`` order, C order) and of the JSON list of
-``TraceEntry.to_dict()``. Two checkouts that print the same object train
-these cells bit for bit alike. It takes about ten seconds.
+``{"params": ..., "trace": ..., "scores": ...}``: the SHA-256 of the trained
+parameter bytes (float64, in ``flat_arrays`` order, C order), of the JSON
+list of ``TraceEntry.to_dict()``, and of the float64 bytes of what scoring
+makes of the trained model: for a classification cell the target's accuracy
+and AUC (``evaluate_classification``) and ``learned_shift``'s MD and CD, for
+the regression cell its predictions on the target. Two checkouts that print
+the same object train and score these cells bit for bit alike. It takes
+about ten seconds.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from copulashift import training  # noqa: E402
 from copulashift.datasets import Dataset  # noqa: E402
 from copulashift.experiments import MOONS_N_PER_CLASS, moons_config, moons_pair  # noqa: E402
+from copulashift.models import predict_regression  # noqa: E402
 
 SEEDS = (0, 5)
 
@@ -34,7 +39,10 @@ def moons(method, seed, n_per_class=MOONS_N_PER_CLASS, **overrides):
     src, tgt = moons_pair(3.0, seed, n_per_class)
     cfg = training.TrainConfig.from_dict({"seed": seed, **overrides},
                                          base=moons_config(method))
-    return training.train(src, tgt.unlabeled(), cfg)
+    params, trace = training.train(src, tgt.unlabeled(), cfg)
+    metrics = training.evaluate_classification(params, tgt)
+    return params, trace, [metrics.accuracy, metrics.auc,
+                           *training.learned_shift(params, src, tgt, cfg)]
 
 
 def regression(method, seed):
@@ -45,7 +53,8 @@ def regression(method, seed):
     cfg = training.TrainConfig.from_dict({
         "seed": seed, "method": method, "max_epochs": 12, "batch_size": 32,
         "model": {"hidden": [5, 3], "task": "regression", "activation": "tanh"}})
-    return training.train(src, tgt, cfg)
+    params, trace = training.train(src, tgt, cfg)
+    return params, trace, predict_regression(tgt.features, params)
 
 
 CELLS = {
@@ -69,11 +78,12 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def fingerprint(params, trace) -> dict:
+def fingerprint(params, trace, scores) -> dict:
     arrays = b"".join(np.ascontiguousarray(a, dtype=np.float64).tobytes()
                       for a in params.flat_arrays())
     entries = json.dumps([t.to_dict() for t in trace], sort_keys=True)
-    return {"params": sha256(arrays), "trace": sha256(entries.encode())}
+    return {"params": sha256(arrays), "trace": sha256(entries.encode()),
+            "scores": sha256(np.asarray(scores, dtype=np.float64).tobytes())}
 
 
 def main() -> None:

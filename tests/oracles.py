@@ -66,14 +66,16 @@ def mean_rows(a) -> ad.Node:
                    lambda g: (np.repeat(g / n, n, axis=0),))
 
 
-def sort_cols(a) -> ad.Node:
-    """Sort every column ascending (stable); the backward un-permutes.
+def sort_cols(a, kind=None) -> ad.Node:
+    """Sort every column ascending; the backward un-permutes.
 
-    Each column's order is a permutation, so the backward is a plain write
-    of the output gradient back to the source rows: nothing is summed.
+    ``kind`` is numpy's sort kind; the default is the one
+    ``divergences.w1_columns_graph`` sorts with. Each column's order is a
+    permutation, so the backward is a plain write of the output gradient
+    back to the source rows: nothing is summed.
     """
     a = ad.constant(a)
-    order = np.argsort(a.value, axis=0, kind="stable")
+    order = np.argsort(a.value, axis=0, kind=kind)
     out = ad._seal(np.take_along_axis(a.value, order, axis=0))
 
     def back(g):
@@ -160,13 +162,13 @@ def copula_distance_composite(fs: ad.Node, ft: ad.Node, beta: float,
     return ad.total(gap * float(beta))
 
 
-def w1_columns_composite(fs: ad.Node, ft: ad.Node) -> ad.Node:
+def w1_columns_composite(fs: ad.Node, ft: ad.Node, kind=None) -> ad.Node:
     """The graph-composite form of ``divergences.w1_columns_graph``.
 
     mean_rows, not total * (1/n): its backward divides by n, which keeps the
-    gradient bit-identical to a per-column mean.
+    gradient bit-identical to a per-column mean. ``kind`` is ``sort_cols``'s.
     """
-    return ad.total(mean_rows(absolute(sort_cols(fs) - sort_cols(ft))))
+    return ad.total(mean_rows(absolute(sort_cols(fs, kind) - sort_cols(ft, kind))))
 
 
 def smooth_taus_composite(f: ad.Node, a: float) -> ad.Node:
@@ -237,20 +239,29 @@ def coral_penalty_composite(fs: ad.Node, ft: ad.Node) -> ad.Node:
 
 
 class AdamPerArray:
-    """``training.Adam`` stepping each parameter array with its own moments."""
+    """``training.Adam`` stepping each parameter array with its own moments.
 
-    def __init__(self, arrays, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    Each array is the segment of the buffer that its gradient's shape covers,
+    in order; the moments are made at the first step, from those shapes.
+    """
+
+    def __init__(self, flat, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = self.v = None
         self.t = 0
 
-    def step(self, arrays, grads):
+    def step(self, flat, grads):
+        if self.m is None:
+            self.m = [np.zeros(g.shape) for g in grads]
+            self.v = [np.zeros(g.shape) for g in grads]
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+        start = 0
+        for g, m, v in zip(grads, self.m, self.v, strict=True):
+            a = flat[start:start + g.size].reshape(g.shape)  # a view: writes reach flat
+            start += g.size
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -19,7 +19,7 @@ import copulashift.experiments as ex
 from copulashift.copula import (DependenceKind, copula_distance,
                                 copula_distance_graph, kendall_tau_smooth,
                                 pair_dependence_divergence)
-from copulashift.models import LayerSpec, ModelParams, extract_features, init_params
+from copulashift.models import LayerSpec, ModelParams, extract_features, init_params, one_hot
 from copulashift.training import TrainConfig, _marginal_term, _supervised_loss, train
 from oracles import (cd_kl_gradient_analytic, finite_difference_check,
                      gaussian_kl_multivariate, gaussian_kl_univariate,
@@ -177,7 +177,7 @@ class TestAcceptance:
             view = ModelParams(spec, 2, extractor, head)
             f_s = extract_features(ad.constant(xs), view)
             f_t = extract_features(ad.constant(xt), view)
-            loss = _supervised_loss(f_s, ys, view)
+            loss = _supervised_loss(f_s, one_hot(ys, 2), view)
             loss = loss + _marginal_term(f_s, f_t, h1) * 0.3
             loss = loss + copula_distance_graph(f_s, f_t, 0.5, h2, 100.0)
             return loss

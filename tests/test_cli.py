@@ -194,13 +194,17 @@ class TestTrainEval:
         assert set(doc["metrics"]) == {"rmse", "r2", "re"}
         assert json.loads((tmp_path / "scores.json").read_text()) == doc
 
-    # a learning rate of 1e300 overflows the features on purpose
-    def test_diverging_run_is_one_error_line(self, tmp_path, capsys):
+    # a learning rate of 1e300 overflows the features on purpose; the MMD
+    # methods take their bandwidth from those features
+    @pytest.mark.parametrize("method", [["mlp"], ["cdan"], ["dan"], ["cdan", "--h1", "mmd"]],
+                             ids=["mlp", "cdan", "dan", "cdan-h1-mmd"])
+    def test_diverging_run_is_one_error_line(self, tmp_path, capsys, method):
         src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
         tgt = make_moons_csv(tmp_path, "tgt.csv", stretch=3, seed=2)
         capsys.readouterr()
-        code = run_cli("train", "--source", src, "--target", tgt, "--epochs", 5,
-                       "--batch", 64, "--seed", 3, "--lr", 1e300, "--out", tmp_path / "m")
+        code = run_cli("train", "--source", src, "--target", tgt, "--method", *method,
+                       "--epochs", 5, "--batch", 64, "--seed", 3, "--lr", 1e300,
+                       "--out", tmp_path / "m")
         assert code == cli.EXIT_FAILURE
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: train: non-finite loss at epoch \d+, batch \d+\n", err)

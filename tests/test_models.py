@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,9 +8,16 @@ from hypothesis import given, settings, strategies as st
 import copulashift.autodiff as ad
 from copulashift.errors import ContractViolation
 from copulashift.models import (LayerSpec, ModelParams, cross_entropy_loss,
-                                extract_features, head_outputs, init_params,
+                                extract_features, forward, head_outputs, init_params,
                                 load_params, mse_loss, predict_proba,
                                 predict_regression, save_params)
+from copulashift.training import Adam
+
+
+def _perturb(flat, rng):
+    """Trained-looking weights in place: entries at every scale, and signed zeros."""
+    flat += rng.normal(size=flat.shape) * 10.0 ** rng.integers(-12, 2, size=flat.shape)
+    flat[rng.random(flat.shape) < 0.1] = -0.0
 
 
 def constant_regressor(value: float, input_dim: int = 2) -> ModelParams:
@@ -110,6 +118,65 @@ class TestForward:
             extract_features(np.zeros((2, 2)), params)
 
 
+class TestPlainForward:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_has_the_bits_of_the_graph(self, task, activation):
+        spec = LayerSpec(hidden=(6, 4, 3), task=task, n_classes=3, activation=activation)
+        rng = np.random.default_rng(len(task) + len(activation))
+        params = init_params(spec, 5, seed=3)
+        _perturb(params.flat, rng)
+        x = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-3, 3, size=(40, 1))
+        feats = extract_features(x, params)
+        assert forward(x, params).tobytes() == feats.value.tobytes()
+        out = head_outputs(feats, params).value
+        if task == "classification":
+            assert predict_proba(x, params).tobytes() == ad.softmax(out).tobytes()
+        else:
+            assert predict_regression(x, params).tobytes() == out.ravel().tobytes()
+
+    @pytest.mark.parametrize("x", [np.zeros((2, 3)), np.zeros(2), np.float64(1.0),
+                                   np.array([[0.0, np.nan]])],
+                             ids=["wide", "1-d", "scalar", "nan"])
+    def test_rejects_bad_input(self, x):
+        params = init_params(LayerSpec(hidden=(4,)), 2, seed=0)
+        with pytest.raises(ContractViolation, match="forward"):
+            forward(x, params)
+
+
+class TestParamsBuffer:
+    @staticmethod
+    def _assert_views(params):
+        flat = params.flat
+        assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+        address = flat.__array_interface__["data"][0]
+        for a in params.flat_arrays():
+            assert a.base is flat and not a.flags.writeable
+            assert a.__array_interface__["data"][0] == address
+            address += a.nbytes
+        assert address == flat.__array_interface__["data"][0] + flat.nbytes
+        assert b"".join(a.tobytes() for a in params.flat_arrays()) == flat.tobytes()
+
+    def test_every_array_is_a_read_only_view_of_the_buffer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        params = init_params(LayerSpec(hidden=(5, 3), n_classes=3), 4, seed=2)
+        self._assert_views(params)
+        _perturb(params.flat, rng)
+        save_params(params, tmp_path / "model.ckpt.json")
+        back = load_params(tmp_path / "model.ckpt.json")
+        self._assert_views(back)
+        assert back.flat.tobytes() == params.flat.tobytes()
+        clone = dataclasses.replace(back)
+        self._assert_views(clone)
+        optimizer = Adam(clone.flat, 0.01)
+        for _ in range(50):
+            optimizer.step(clone.flat, [rng.normal(size=a.shape) for a in clone.flat_arrays()])
+        self._assert_views(clone)
+        assert clone.flat.tobytes() != back.flat.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            clone.head[0][0, 0] = 1.0
+
+
 class TestLosses:
     def test_cross_entropy_hand_value(self):
         # Identity-ish single layer pushing logits [1, -1] and [-1, 1]:
@@ -176,9 +243,7 @@ class TestCheckpointRoundTrip:
         rng = np.random.default_rng(seed)
         params = init_params(spec, dim, seed)
         # trained weights: nonzero biases, entries at every scale, signed zeros
-        for arr in params.flat_arrays():
-            arr += rng.normal(size=arr.shape) * 10.0 ** rng.integers(-12, 2, size=arr.shape)
-            arr[rng.random(arr.shape) < 0.1] = -0.0
+        _perturb(params.flat, rng)
         x = rng.normal(size=(data.draw(st.integers(1, 30), label="rows"), dim))
         path = tmp_path_factory.mktemp("ckpt") / "model.ckpt.json"
         save_params(params, path)
@@ -213,11 +278,12 @@ class TestCheckpointRoundTrip:
 
     def test_copy_is_deep(self):
         params = init_params(LayerSpec(hidden=(4, 3)), 2, seed=0)
-        clone = params.map(np.copy)
-        for a, b in zip(params.flat_arrays(), clone.flat_arrays(), strict=True):
-            assert a.tobytes() == b.tobytes()
-            b += 1.0
-            assert not np.shares_memory(a, b) and a.tobytes() != b.tobytes()
+        for clone in (dataclasses.replace(params), params.map(np.copy)):
+            assert clone.flat.tobytes() == params.flat.tobytes()
+            assert not np.shares_memory(clone.flat, params.flat)
+            clone.flat += 1.0
+            for a, b in zip(params.flat_arrays(), clone.flat_arrays(), strict=True):
+                assert a.tobytes() != b.tobytes()
 
     def test_map_applies_fn_in_flat_order(self):
         params = init_params(LayerSpec(hidden=(4, 3, 2), n_classes=3), 5, seed=1)

@@ -9,7 +9,7 @@ import copulashift.divergences as dv
 from copulashift.datasets import (Dataset, MinMaxStats, MoonsConfig,
                                   generate_moons)
 from copulashift.errors import ContractViolation
-from copulashift.models import LayerSpec, extract_features, init_params
+from copulashift.models import LayerSpec, extract_features, init_params, one_hot
 from copulashift.training import (METHODS, TrainConfig, _auc_mann_whitney, _batch_loss,
                                   _marginal_term, _supervised_loss, aggregate_metrics,
                                   evaluate_classification, evaluate_regression,
@@ -37,11 +37,8 @@ def quick_config(method="cdan", **overrides):
 def constant_regressor(value: float, input_dim: int = 2):
     spec = LayerSpec(hidden=(4, 2), task="regression")
     params = init_params(spec, input_dim, seed=0)
-    for w, b in params.extractor:
-        w[:] = 0.0
-        b[:] = 0.0
-    params.head[0][:] = 0.0
-    params.head[1][:] = value
+    params.flat[:] = 0.0  # the buffer: its W and b views are read-only
+    params.flat[-1] = value  # the head's bias, the last array
     return params
 
 
@@ -195,8 +192,8 @@ def w1_per_column(fs, ft):
     total = None
     for c in range(fs.shape[1]):
         cs, ct = ad.take_cols(fs, [c]), ad.take_cols(ft, [c])
-        order_s = np.argsort(cs.value.ravel(), kind="stable")
-        order_t = np.argsort(ct.value.ravel(), kind="stable")
+        order_s = np.argsort(cs.value.ravel())  # the sort kind of w1_columns_graph
+        order_t = np.argsort(ct.value.ravel())
         term = ad.mean(absolute(
             ad.take_rows(cs, order_s) - ad.take_rows(ct, order_t)))
         total = term if total is None else total + term
@@ -316,8 +313,9 @@ class TestTrainLoop:
         xt = rng.normal(size=(32, 2))
         cfg = quick_config("cdan", alpha=0.4, beta=0.3)
         params = init_params(cfg.model, 2, seed=4)
-        loss, _, (md, cd) = _batch_loss(params, xs, ys, xt, cfg)
-        sup = _supervised_loss(extract_features(xs, params), ys, params)
+        targets = one_hot(ys, 2)
+        loss, _, (md, cd) = _batch_loss(params, xs, targets, xt, cfg)
+        sup = _supervised_loss(extract_features(xs, params), targets, params)
         assert abs(loss.item() - (sup.item() + md + cd)) <= 1e-12
 
     def test_batch_loss_differentiates_the_mapped_leaves(self):
@@ -326,12 +324,13 @@ class TestTrainLoop:
         ys = rng.integers(0, 2, size=16)
         cfg = quick_config("cdan", alpha=0.4, beta=0.3)
         params = init_params(cfg.model, 2, seed=2)
-        loss, nodes, _ = _batch_loss(params, xs, ys, xt, cfg)
+        loss, nodes, _ = _batch_loss(params, xs, one_hot(ys, 2), xt, cfg)
         mapped = params.map(ad.leaf).flat_arrays()
         assert [n.op for n in nodes] == ["leaf"] * len(mapped)
         assert [n.index for n in nodes] == sorted(n.index for n in nodes)
         for node, leaf, a in zip(nodes, mapped, params.flat_arrays(), strict=True):
             assert node.value.tobytes() == leaf.value.tobytes() == a.tobytes()
+            assert node.value is a  # the leaf wraps the buffer's view: no copy
         reached = set(ad._reachable(loss))
         assert all(n in reached for n in nodes)
 
@@ -350,7 +349,8 @@ class TestTrainLoop:
         if len(trace) < cfg.max_epochs:
             assert len(vals) - 1 - k == cfg.early_stop_patience
         _, val_idx = _holdout_split(len(source), cfg.holdout_fraction, cfg.seed)
-        restored = _validation_loss(params, source, val_idx)
+        restored = _validation_loss(params, source.features[val_idx],
+                                    one_hot(source.labels[val_idx], 2))
         np.testing.assert_allclose(restored, min(vals), rtol=1e-12)
 
     def test_patience_zero_disables_early_stopping(self):
@@ -521,6 +521,28 @@ class TestRunExperiment:
         md, cd = learned_shift(params, source, target, cfg)
         assert np.isfinite(md) and md >= 0.0
         assert np.isfinite(cd) and cd >= 0.0
+
+    def test_scoring_builds_no_graph_nodes(self, monkeypatch):
+        # validation, prediction, evaluation and learned_shift's features all
+        # run the plain forward pass (learned_shift's copula distance is a node)
+        from copulashift.training import _validation_loss
+
+        def no_dense(*args):
+            raise AssertionError("a scoring pass built a dense node")
+
+        monkeypatch.setattr(ad, "dense", no_dense)
+        source, target = moons_domains(30)
+        cfg = quick_config(seed=0)
+        clf, reg = init_params(cfg.model, 2, seed=1), constant_regressor(0.5)
+        identity = MinMaxStats(feature_min=np.zeros(2), feature_max=np.ones(2))
+        reg_target = Dataset(target.features, target.features[:, 0])
+        first = next(ad._counter)
+        evaluate_classification(clf, target)
+        evaluate_regression(reg, reg_target, identity)
+        _validation_loss(clf, source.features, one_hot(source.labels, 2))
+        _validation_loss(reg, reg_target.features, reg_target.labels)
+        assert next(ad._counter) == first + 1
+        learned_shift(clf, source, target, cfg)
 
     def test_dependence_regularizer_shrinks_learned_dependence_gap(self):
         # Across ten seeds the regularized runs must land at a smaller mean
