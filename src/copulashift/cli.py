@@ -82,12 +82,10 @@ def _resolve_config(args, **defaults) -> TrainConfig:
     return TrainConfig.from_dict(merged)
 
 
-def _load_maybe_labeled(verb: str, path, delimiter: str, label_column: str,
-                        domain: str) -> Dataset:
+def _load_maybe_labeled(verb: str, path, delimiter: str, label_column: str) -> Dataset:
     """Load a CSV that has data rows, with ``label_column`` as the label if present."""
     column = label_column if label_column in read_header(path, delimiter) else None
-    ds = load_delimited(path, delimiter=delimiter, label_column=column,
-                        domain=domain)
+    ds = load_delimited(path, delimiter=delimiter, label_column=column)
     if len(ds) == 0:
         raise ContractViolation(f"{verb}: {path} has no data rows")
     return ds
@@ -114,13 +112,11 @@ def cmd_moons_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    source = _load_maybe_labeled("train", args.source, args.delimiter,
-                                 args.label_column, "source")
+    source = _load_maybe_labeled("train", args.source, args.delimiter, args.label_column)
     if source.labels is None:
         raise ContractViolation(
             f"train: {args.source} has no {args.label_column!r} column")
-    target = _load_maybe_labeled("train", args.target, args.delimiter,
-                                 args.label_column, "target")
+    target = _load_maybe_labeled("train", args.target, args.delimiter, args.label_column)
     if np.issubdtype(source.labels.dtype, np.integer):
         model = {"task": "classification",
                  "n_classes": max(2, int(source.labels.max()) + 1)}
@@ -146,8 +142,7 @@ def cmd_eval(args) -> int:
     extra = record.get("extra", {})
     if not isinstance(extra, dict):
         raise ContractViolation(f"eval: {args.checkpoint} has a non-object 'extra' entry")
-    ds = _load_maybe_labeled("eval", args.data, args.delimiter,
-                             args.label_column, "target")
+    ds = _load_maybe_labeled("eval", args.data, args.delimiter, args.label_column)
     if ds.labels is None:
         raise ContractViolation(
             f"eval: {args.data} has no {args.label_column!r} column to score against")
@@ -156,8 +151,7 @@ def cmd_eval(args) -> int:
         metrics = {"accuracy": m.accuracy, "auc": m.auc}
     else:
         # Identity scaling: metrics are on the file's own label scale.
-        stats = MinMaxStats(np.zeros(ds.dim), np.ones(ds.dim))
-        m = evaluate_regression(params, ds, stats)
+        m = evaluate_regression(params, ds, MinMaxStats())
         metrics = {"rmse": m.rmse, "r2": m.r2, "re": m.re}
     doc = {"task": params.spec.task, "checkpoint": str(args.checkpoint),
            "data": str(args.data), "n": len(ds), "metrics": metrics,
@@ -170,10 +164,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_shift_report(args) -> int:
-    a = _load_maybe_labeled("shift-report", args.a, args.delimiter,
-                            args.label_column, "source")
-    b = _load_maybe_labeled("shift-report", args.b, args.delimiter,
-                            args.label_column, "target")
+    a = _load_maybe_labeled("shift-report", args.a, args.delimiter, args.label_column)
+    b = _load_maybe_labeled("shift-report", args.b, args.delimiter, args.label_column)
     config = _resolve_config(args, beta=1.0)
     rep = shift_report(a, b, config.h1, config.h2, beta=config.beta,
                        tanh_a=config.tanh_a)
@@ -199,25 +191,21 @@ def cmd_shift_report(args) -> int:
     return EXIT_OK
 
 
-# table -> (runner in ``experiments``, default seed count). The runner is
-# looked up by name on each call so the module attribute stays patchable.
-_TABLES = {
-    "table3": ("run_moons_benchmark", ex.DEFAULT_MOONS_SEEDS),
-    "table6": ("run_wine_benchmark", ex.DEFAULT_WINE_SEEDS),
-    "table7": ("run_wine_ablation", ex.DEFAULT_WINE_SEEDS),
-    "table8": ("run_wine_divergence_comparison", ex.DEFAULT_COMPARISON_SEEDS),
-}
+# table -> its runner in ``experiments``, looked up by name on each call so
+# the module attribute stays patchable
+_TABLES = {"table3": "run_moons_benchmark", "table6": "run_wine_benchmark",
+           "table7": "run_wine_ablation", "table8": "run_wine_divergence_comparison"}
 
 
 def cmd_reproduce(args) -> int:
-    runner, default_seeds = _TABLES[args.table]
-    kwargs = {"n_seeds": args.seeds if args.seeds is not None else default_seeds,
-              "progress": None if args.quiet else _say}
+    kwargs = {"progress": None if args.quiet else _say}
+    if args.seeds is not None:  # else the runner's own default
+        kwargs["n_seeds"] = args.seeds
     if args.table != "table3":  # the wine tables read the CSVs
         kwargs["data_dir"] = args.data_dir
     out_base = args.out if args.out else args.table
     try:
-        table = getattr(ex, runner)(**kwargs)
+        table = getattr(ex, _TABLES[args.table])(**kwargs)
     except ex.ExperimentError as err:
         base = Path(str(out_base) + ".partial")
         md_path, json_path = ex.write_table(err.partial, base)
@@ -242,9 +230,9 @@ def cmd_fetch_wine(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_io_flags(sp, label_default: str = "label") -> None:
+def _add_io_flags(sp) -> None:
     sp.add_argument("--delimiter", default=",", help="CSV delimiter")
-    sp.add_argument("--label-column", default=label_default,
+    sp.add_argument("--label-column", default="label",
                     help="column treated as the label when present")
 
 

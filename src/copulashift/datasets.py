@@ -19,14 +19,11 @@ import numpy as np
 
 from .errors import ContractViolation, DomainError, is_finite_real, is_int
 
-_DOMAINS = ("source", "target")
-
 
 @dataclass
 class Dataset:
     features: np.ndarray
     labels: np.ndarray | None = None
-    domain: str = "source"
     feature_names: list[str] = field(default_factory=list)
     label_name: str | None = None
 
@@ -43,8 +40,6 @@ class Dataset:
                 raise ContractViolation(
                     f"Dataset: {y.shape} labels for {f.shape[0]} rows")
             self.labels = y
-        if self.domain not in _DOMAINS:
-            raise ContractViolation(f"Dataset: domain must be one of {_DOMAINS}")
         if not self.feature_names:
             self.feature_names = [f"f{i}" for i in range(f.shape[1])]
         if len(self.feature_names) != f.shape[1]:
@@ -90,7 +85,7 @@ class MoonsConfig:
         object.__setattr__(self, "n_per_class", int(self.n_per_class))
 
 
-def generate_moons(config: MoonsConfig, domain: str = "source") -> Dataset:
+def generate_moons(config: MoonsConfig) -> Dataset:
     """Two inter-twinning moons with the x axis stretched.
 
     Class 0 lies on y = sqrt(1 - x^2) for x in [-1, 1]; class 1 on
@@ -108,8 +103,7 @@ def generate_moons(config: MoonsConfig, domain: str = "source") -> Dataset:
                            np.concatenate([y0, y1])])
     pts = pts + rng.normal(0.0, config.noise_sigma, size=pts.shape)
     labels = np.repeat(np.array([0, 1], dtype=np.int64), n)
-    return Dataset(pts, labels, domain=domain,
-                   feature_names=["x", "y"], label_name="label")
+    return Dataset(pts, labels, feature_names=["x", "y"], label_name="label")
 
 
 def _check_delimiter(delimiter) -> None:
@@ -204,8 +198,7 @@ def _plain_table(body: list[str], delimiter: str, width: int):
     return data if data.shape == (len(body), width) else None
 
 
-def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
-                   domain: str = "source") -> Dataset:
+def load_delimited(path, delimiter: str = ",", label_column: str | None = None) -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
 
     The file must be UTF-8 and the delimiter one character. Blank and '#'
@@ -227,7 +220,7 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
     if body is not None:
         data = _parse_body(body, header, path, delimiter)
     if label_column is None:
-        return Dataset(data, None, domain=domain, feature_names=header)
+        return Dataset(data, None, feature_names=header)
     li = header.index(label_column)
     labels = data[:, li]
     if (np.all(labels == np.round(labels))
@@ -235,8 +228,7 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None,
         labels = labels.astype(np.int64)
     features = np.delete(data, li, axis=1)
     names = [h for k, h in enumerate(header) if k != li]
-    return Dataset(features, labels, domain=domain,
-                   feature_names=names, label_name=label_column)
+    return Dataset(features, labels, feature_names=names, label_name=label_column)
 
 
 def _parse_body(body, header, path, delimiter: str) -> np.ndarray:
@@ -281,24 +273,18 @@ def write_dataset(ds: Dataset, path, header_note: dict | None = None) -> None:
             writer.writerow(row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MinMaxStats:
-    """Per-column ranges recorded by minmax_normalize for inverse transforms."""
+    """The label range minmax_normalize scaled by; none for identity scaling."""
 
-    feature_min: np.ndarray
-    feature_max: np.ndarray
     label_min: float | None = None
     label_max: float | None = None
 
-    @property
-    def scales_labels(self) -> bool:
-        return self.label_min is not None
-
     def denormalize_labels(self, y) -> np.ndarray:
-        if not self.scales_labels:
-            return np.asarray(y, dtype=np.float64)
-        span = self.label_max - self.label_min
-        return np.asarray(y, dtype=np.float64) * span + self.label_min
+        y = np.asarray(y, dtype=np.float64)
+        if self.label_min is None:
+            return y
+        return y * (self.label_max - self.label_min) + self.label_min
 
 
 def _scale(values, lo, hi):
@@ -328,7 +314,7 @@ def minmax_normalize(stats_from: Dataset, *apply_to: Dataset,
     if scale_labels:
         y = stats_from.labels.astype(np.float64)
         ymin, ymax = float(y.min()), float(y.max())
-    stats = MinMaxStats(lo, hi, ymin, ymax)
+    stats = MinMaxStats(label_min=ymin, label_max=ymax)
 
     out = []
     for ds in apply_to:

@@ -28,7 +28,7 @@ from .copula import H2_TAGS
 from .datasets import (Dataset, MoonsConfig, generate_moons, load_delimited,
                        minmax_normalize)
 from .divergences import H1_TAGS
-from .errors import ContractViolation
+from .errors import ContractViolation, is_int
 from .models import LayerSpec
 from .training import (TrainConfig, evaluate_classification, mean_std,
                        run_experiment, train)
@@ -82,10 +82,9 @@ def moons_pair(stretch: float, seed: int,
     The source is the unit-scale moons; the target has its x axis
     stretched by ``stretch``. Both use noise MOONS_NOISE.
     """
-    src = generate_moons(MoonsConfig(n_per_class, 1.0, MOONS_NOISE,
-                                     MOONS_SOURCE_SEED + seed), domain="source")
+    src = generate_moons(MoonsConfig(n_per_class, 1.0, MOONS_NOISE, MOONS_SOURCE_SEED + seed))
     tgt = generate_moons(MoonsConfig(n_per_class, stretch, MOONS_NOISE,
-                                     MOONS_TARGET_SEED + seed), domain="target")
+                                     MOONS_TARGET_SEED + seed))
     return src, tgt
 
 
@@ -146,6 +145,13 @@ def render_markdown(table: ExperimentTable, digits: int | None = None) -> str:
     return "\n".join(lines)
 
 
+def _seed_range(n_seeds) -> range:
+    """The seeds 0..n_seeds-1 of a table, at least one of them."""
+    if not is_int(n_seeds) or n_seeds < 1:
+        raise ContractViolation(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
+    return range(n_seeds)
+
+
 def _finish(name, columns, rows, meta, reports, failures) -> ExperimentTable:
     """Assemble a table; raise ExperimentError (with the partial) on failures."""
     if failures:
@@ -169,6 +175,7 @@ def run_moons_benchmark(methods=("mlp", "coral", "dan", "cdan"),
     adapts to an unlabeled fresh target draw; accuracy is transductive
     (scored on the full target set).
     """
+    seeds = _seed_range(n_seeds)
     columns = [f"{s:g}x" for s in stretches]
     rows, reports, failures = [], {}, []
     for method in methods:
@@ -177,7 +184,7 @@ def run_moons_benchmark(methods=("mlp", "coral", "dan", "cdan"),
             cells, per_seed = {}, {}
             for stretch, col in zip(stretches, columns):
                 accs = []
-                for s in range(n_seeds):
+                for s in seeds:
                     src, tgt = moons_pair(stretch, s)
                     cfg = replace(moons_config(method), seed=s)
                     params, _ = train(src, tgt.unlabeled(), cfg)
@@ -194,7 +201,7 @@ def run_moons_benchmark(methods=("mlp", "coral", "dan", "cdan"),
         rows.append({"label": label, "cells": cells})
         reports[label] = {"per_seed": per_seed,
                           "config": moons_config(method).to_dict()}
-    meta = {"seeds": list(range(n_seeds)), "noise": MOONS_NOISE,
+    meta = {"seeds": list(seeds), "noise": MOONS_NOISE,
             "n_per_class": MOONS_N_PER_CLASS, "digits": 2,
             "source_seed_offset": MOONS_SOURCE_SEED,
             "target_seed_offset": MOONS_TARGET_SEED,
@@ -224,7 +231,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def load_wine(color: str, data_dir=None, domain: str = "source") -> Dataset:
+def load_wine(color: str, data_dir=None) -> Dataset:
     """Load one wine-quality CSV, verifying shape and recorded checksum.
 
     Raises MissingDataError with the fetch instructions when the file is
@@ -250,8 +257,7 @@ def load_wine(color: str, data_dir=None, domain: str = "source") -> Dataset:
                 f"{path} does not match its recorded checksum ({actual[:12]}… "
                 f"vs {recorded[:12]}…); the file changed since it was "
                 f"fetched. Re-run `copulashift fetch-wine`.")
-    ds = load_delimited(path, delimiter=";", label_column="quality",
-                        domain=domain)
+    ds = load_delimited(path, delimiter=";", label_column="quality")
     if ds.dim != WINE_FEATURES or len(ds) != expected_rows:
         raise MissingDataError(
             f"{path} parsed to {len(ds)} rows x {ds.dim} features; expected "
@@ -320,9 +326,8 @@ def wine_transfer_pairs(data_dir=None) -> dict:
     raw = {c: load_wine(c, data_dir) for c in ("white", "red")}
     out = {}
     for key, _, src_color, tgt_color in DIRECTIONS:
-        src = replace(raw[src_color], domain="source")
-        tgt = replace(raw[tgt_color], domain="target")
-        (nsrc, ntgt), stats = minmax_normalize(src, src, tgt, scale_labels=True)
+        src = raw[src_color]
+        (nsrc, ntgt), stats = minmax_normalize(src, src, raw[tgt_color], scale_labels=True)
         out[key] = (nsrc, ntgt, stats)
     return out
 
@@ -334,8 +339,8 @@ def _run_wine_table(name, rows, metrics, meta, n_seeds, data_dir,
     A row that raises is recorded in the failures and the remaining rows
     still run; ``_finish`` then raises ExperimentError with the partial.
     """
+    seeds = _seed_range(n_seeds)
     pairs = wine_transfer_pairs(data_dir)
-    seeds = range(n_seeds)
     columns = [f"{disp} {m.upper()}" for _, disp, _, _ in DIRECTIONS for m in metrics]
     table_rows, reports, failures = [], {}, []
     for label, cfg in rows:
@@ -343,8 +348,7 @@ def _run_wine_table(name, rows, metrics, meta, n_seeds, data_dir,
             by_dir = {}
             for key, _, _, _ in DIRECTIONS:
                 nsrc, ntgt, stats = pairs[key]
-                rep = run_experiment(f"wine {key}", nsrc, ntgt, cfg, seeds,
-                                     stats=stats, eval_target=ntgt)
+                rep = run_experiment(f"wine {key}", nsrc, ntgt, cfg, seeds, stats=stats)
                 by_dir[key] = rep
                 if progress is not None:
                     agg = rep.aggregate

@@ -103,10 +103,6 @@ class ModelParams:
             views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
             self.extractor, self.head = list(zip(views[:-2:2], views[1:-2:2])), tuple(views[-2:])
 
-    @property
-    def feature_dim(self) -> int:
-        return self.spec.feature_dim
-
     def flat_arrays(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed order (extractor first, then head)."""
         out = []
@@ -285,9 +281,9 @@ def save_params(params: ModelParams, path, extra: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint written by save_params: its params and whole record."""
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
         if record.get("format") != _CHECKPOINT_FORMAT:
             raise ContractViolation(f"unsupported checkpoint format {record.get('format')!r}")
         spec = LayerSpec(hidden=tuple(record["spec"]["hidden"]),
@@ -298,7 +294,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                   for l in record["layers"]]
         params = ModelParams(spec, int(record["input_dim"]), layers[:-1], tuple(layers[-1]))
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as err:
-        # ContractViolation is a ValueError: a bad spec is named with the file too
+        # ContractViolation and JSON's and UTF-8's decoding faults are ValueErrors:
+        # they too are named with the file
         raise ContractViolation(f"load_params: {path} is not a checkpoint: {err!r}") from None
     return params, record
 

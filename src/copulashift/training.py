@@ -40,11 +40,7 @@ _NESTED = {"h1": (dv.DivergenceKind, "kind"), "h2": (cop.DependenceKind, "tag"),
 
 
 def _nested_from(name: str, value):
-    """An instance, a bare tag string or a dict as the class of field ``name``.
-
-    Dict keys the class lacks are ignored, so older dicts (an ``h2`` with
-    "alpha" and "mc_samples") still load.
-    """
+    """An instance, a bare tag string or a dict as the class of field ``name``."""
     cls, required = _NESTED[name]
     if isinstance(value, cls):
         return value
@@ -57,7 +53,10 @@ def _nested_from(name: str, value):
     if required not in value:
         raise ContractViolation(
             f"TrainConfig: {name} needs the key {required!r}, got keys {sorted(value)}")
-    return cls(**{f.name: value[f.name] for f in dataclasses.fields(cls) if f.name in value})
+    unknown = set(value) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ContractViolation(f"TrainConfig: {name} has unknown keys {sorted(unknown)}")
+    return cls(**value)
 
 
 @dataclass(frozen=True)
@@ -88,11 +87,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ContractViolation(f"TrainConfig: method must be one of {METHODS}")
-        for name in ("max_epochs", "early_stop_patience", "batch_size", "seed"):
+        for name, low in (("max_epochs", 1), ("early_stop_patience", 0), ("batch_size", 2),
+                          ("seed", 0)):
             value = getattr(self, name)
-            if not is_int(value):
+            if not is_int(value) or value < low:
                 raise ContractViolation(
-                    f"TrainConfig: {name} must be an integer, got {value!r}")
+                    f"TrainConfig: {name} must be an integer >= {low}, got {value!r}")
         for name in ("alpha", "beta", "lambda_", "learning_rate", "tanh_a",
                      "holdout_fraction"):
             value = getattr(self, name)
@@ -104,13 +104,9 @@ class TrainConfig:
                 raise ContractViolation(f"TrainConfig: {name} must be >= 0")
         if self.learning_rate <= 0:
             raise ContractViolation("TrainConfig: learning_rate must be positive")
-        if self.max_epochs < 1:
-            raise ContractViolation("TrainConfig: max_epochs must be >= 1")
-        if self.batch_size < 2 or self.batch_size % 2 != 0:
+        if self.batch_size % 2 != 0:
             raise ContractViolation(
                 f"TrainConfig: batch_size must be even and >= 2, got {self.batch_size}")
-        if self.early_stop_patience < 0:
-            raise ContractViolation("TrainConfig: early_stop_patience must be >= 0")
         if self.tanh_a <= 0:
             raise ContractViolation("TrainConfig: tanh_a must be positive")
         if not 0.0 <= self.holdout_fraction < 1.0:
@@ -162,9 +158,10 @@ class Adam:
     with the bits of a step taken array by array.
     """
 
-    def __init__(self, flat, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+    def __init__(self, flat, learning_rate):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m, self.v = np.zeros(flat.size), np.zeros(flat.size)
         self.t = 0
 
@@ -327,7 +324,7 @@ def train(source: Dataset, target: Dataset, config: TrainConfig):
             loss_sum += loss.item()
             md_sum += md_v
             cd_sum += cd_v
-        nb = max(1, len(batches))
+        nb = len(batches)
         val = _validation_loss(params, val_x, val_targets)
         trace.append(TraceEntry(epoch, loss_sum / nb, md_sum / nb,
                                 cd_sum / nb, val))
@@ -467,17 +464,15 @@ def learned_shift(params: ModelParams, source: Dataset, target: Dataset,
 
 
 def run_experiment(task: str, source: Dataset, target: Dataset,
-                   config: TrainConfig, seeds, stats: MinMaxStats | None = None,
-                   eval_target: Dataset | None = None) -> MetricsReport:
+                   config: TrainConfig, seeds, stats: MinMaxStats | None = None) -> MetricsReport:
     """Train/evaluate one configuration across seeds and aggregate.
 
-    ``eval_target`` supplies the labeled target set for scoring (defaults
-    to ``target``); regression scoring requires the normalization stats.
+    Training sees ``target`` unlabeled; scoring reads its labels. Regression
+    scoring requires the normalization stats.
     """
     seeds = list(seeds)
     if not seeds:
         raise ContractViolation("run_experiment: seeds must be nonempty")
-    eval_ds = eval_target if eval_target is not None else target
     per_seed = []
     first_trace = None
     for s in seeds:
@@ -490,12 +485,12 @@ def run_experiment(task: str, source: Dataset, target: Dataset,
                  "val": min((t.val for t in trace if t.val is not None),
                             default=trace[-1].loss)}
         if config.model.task == "classification":
-            m = evaluate_classification(params, eval_ds)
+            m = evaluate_classification(params, target)
             entry.update(accuracy=m.accuracy, auc=m.auc)
         else:
             if stats is None:
                 raise ContractViolation("run_experiment: regression needs the scaler stats")
-            m = evaluate_regression(params, eval_ds, stats)
+            m = evaluate_regression(params, target, stats)
             entry.update(rmse=m.rmse, r2=m.r2, re=m.re)
         per_seed.append(entry)
     return MetricsReport(task=task, method=config.method, config=config.to_dict(),

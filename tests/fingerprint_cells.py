@@ -49,7 +49,7 @@ def regression(method, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(90, 3))
     src = Dataset(x, np.tanh(x[:, 0]) + 0.1 * x[:, 1])
-    tgt = Dataset(rng.normal(0.4, 1.2, size=(70, 3)), None, domain="target")
+    tgt = Dataset(rng.normal(0.4, 1.2, size=(70, 3)), None)
     cfg = training.TrainConfig.from_dict({
         "seed": seed, "method": method, "max_epochs": 12, "batch_size": 32,
         "model": {"hidden": [5, 3], "task": "regression", "activation": "tanh"}})

@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import inspect
 import io
 import json
 import os
@@ -142,7 +143,7 @@ class TestMoonsGen:
         note = json.loads(notes[0].lstrip("# "))
         assert note["stretch"] == 3.0
         assert note["seed"] == 7
-        ds = load_delimited(out, label_column="label", domain="source")
+        ds = load_delimited(out, label_column="label")
         assert len(ds) == 1024
         assert set(np.unique(ds.labels)) == {0, 1}
         assert "wrote" in capsys.readouterr().err
@@ -265,6 +266,7 @@ class TestTrainEval:
                            ({"h1": 5}, "h1"),
                            ({"h2": {}}, "h2"),
                            ({"model": {"hidden": [4, "a"]}}, "hidden"),
+                           ({"model": {"hidden": [8, 4], "activaton": "tanh"}}, "activaton"),
                            ({"model": 5}, "model"),
                            ([1, 2], "JSON object")):
             cfg.write_text(json.dumps(data))
@@ -276,6 +278,19 @@ class TestTrainEval:
                        "--hidden", "4,a", "--out", tmp_path / "m")
         assert code == cli.EXIT_USAGE
         assert "--hidden" in capsys.readouterr().err
+
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        capsys.readouterr()
+        for argv in (["--seed", -1], ["--config", cfg]):
+            code = run_cli("train", "--source", src, "--target", src, *argv,
+                           "--out", tmp_path / "m")
+            assert code == cli.EXIT_USAGE
+            assert capsys.readouterr().err == (
+                "error: TrainConfig: seed must be an integer >= 0, got -1\n")
+        assert not list(tmp_path.glob("m.*"))
 
     def test_unlabeled_source_exits_usage(self, tmp_path, capsys):
         bare = tmp_path / "bare.csv"
@@ -298,10 +313,11 @@ class TestTrainEval:
         ({**_CKPT, "layers": [{"w": [["x"], ["y"]], "b": [[0.0]]}, _CKPT["layers"][1]]},
          "load_params: CKPT is not a checkpoint"),
         ({**_CKPT, "extra": []}, "eval: CKPT has a non-object 'extra' entry"),
-    ], ids=["list", "format-only", "non-numeric-weight", "extra-not-object"])
+        ("not json", "load_params: CKPT is not a checkpoint: JSONDecodeError("),
+    ], ids=["list", "format-only", "non-numeric-weight", "extra-not-object", "not-json"])
     def test_malformed_checkpoint_exits_usage(self, tmp_path, capsys, record, message):
         ckpt = tmp_path / "bad.ckpt.json"
-        ckpt.write_text(json.dumps(record))
+        ckpt.write_text(record if isinstance(record, str) else json.dumps(record))
         tgt = make_regression_csv(tmp_path, "t.csv", seed=0)
         assert run_cli("eval", "--checkpoint", ckpt, "--data", tgt) == cli.EXIT_USAGE
         assert "error: " + message.replace("CKPT", str(ckpt)) in capsys.readouterr().err
@@ -493,6 +509,10 @@ def canned_table():
                               reports={"CDAN": {"per_seed": {"2x": [95.0]}}})
 
 
+def runner_default_seeds(runner: str) -> int:
+    return inspect.signature(getattr(ex, runner)).parameters["n_seeds"].default
+
+
 class TestReproduce:
     def test_success_writes_table_files(self, tmp_path, monkeypatch, capsys):
         seen = {}
@@ -513,23 +533,32 @@ class TestReproduce:
         assert loaded == canned_table().to_dict()
 
     def test_default_seed_count_per_table(self, tmp_path, monkeypatch):
+        assert runner_default_seeds("run_moons_benchmark") == ex.DEFAULT_MOONS_SEEDS
         seen = {}
 
-        def fake(n_seeds, progress=None):
-            seen["n_seeds"] = n_seeds
+        def fake(**kwargs):
+            seen.update(kwargs)
             return canned_table()
 
         monkeypatch.setattr(ex, "run_moons_benchmark", fake)
         monkeypatch.chdir(tmp_path)
         assert run_cli("reproduce", "table3", "--quiet") == cli.EXIT_OK
-        assert seen["n_seeds"] == ex.DEFAULT_MOONS_SEEDS
+        assert seen == {"progress": None}  # no n_seeds: the runner's default holds
         assert Path("table3.md").exists()
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_no_seeds_exits_usage_and_writes_nothing(self, tmp_path, capsys, seeds):
+        code = run_cli("reproduce", "table3", "--seeds", seeds, "--quiet",
+                       "--out", tmp_path / "t3")
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: n_seeds must be an integer >= 1, got {seeds}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_partial_failure_exits_3_with_partial_files(self, tmp_path,
                                                         monkeypatch, capsys):
         failures = [{"row": "DAN", "error": "RuntimeError: boom"}]
 
-        def fake(n_seeds, progress=None):
+        def fake(progress=None):
             raise ex.ExperimentError(canned_table(), failures)
 
         monkeypatch.setattr(ex, "run_moons_benchmark", fake)
@@ -548,17 +577,18 @@ class TestReproduce:
         ("table8", "run_wine_divergence_comparison", ex.DEFAULT_COMPARISON_SEEDS)])
     def test_wine_tables_dispatch_with_data_dir(self, tmp_path, monkeypatch,
                                                 table, runner, seeds):
+        assert runner_default_seeds(runner) == seeds
         seen = {}
 
-        def fake(n_seeds, data_dir, progress=None):
-            seen.update(n_seeds=n_seeds, data_dir=data_dir)
+        def fake(data_dir, progress=None):
+            seen.update(data_dir=data_dir)
             return canned_table()
 
         monkeypatch.setattr(ex, runner, fake)
         code = run_cli("reproduce", table, "--quiet", "--data-dir", tmp_path,
                        "--out", tmp_path / table)
         assert code == cli.EXIT_OK
-        assert seen == {"n_seeds": seeds, "data_dir": str(tmp_path)}
+        assert seen == {"data_dir": str(tmp_path)}
 
     def test_wine_table_without_data_exits_usage(self, tmp_path, capsys):
         code = run_cli("reproduce", "table6", "--quiet",

@@ -34,10 +34,6 @@ class TestDataset:
         with pytest.raises(ContractViolation):
             Dataset(np.zeros((3, 2)), np.array([0, 1]))
 
-    def test_rejects_unknown_domain(self):
-        with pytest.raises(ContractViolation):
-            Dataset(np.zeros((3, 2)), None, domain="validation")
-
     def test_subset_keeps_alignment(self):
         x = np.arange(12, dtype=np.float64).reshape(6, 2)
         y = np.arange(6)
@@ -418,8 +414,7 @@ class TestMinMaxNormalize:
                                    [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
         # Values outside the fitted range extrapolate rather than clip.
         np.testing.assert_allclose(n_other.features, [[2.0, 0.0]])
-        np.testing.assert_array_equal(stats.feature_min, [0.0, 10.0])
-        np.testing.assert_array_equal(stats.feature_max, [2.0, 30.0])
+        assert stats == MinMaxStats()  # no float labels: no label range
 
     def test_constant_column_maps_to_zero(self):
         ds = Dataset(np.array([[5.0, 1.0], [5.0, 2.0]]), None)
@@ -437,7 +432,7 @@ class TestMinMaxNormalize:
         ds = Dataset(np.zeros((3, 1)), np.array([3, 5, 9]))
         (norm,), stats = minmax_normalize(ds, ds)
         np.testing.assert_array_equal(norm.labels, [3, 5, 9])
-        assert not stats.scales_labels
+        assert stats.label_min is None
 
     def test_dimension_mismatch(self):
         a = Dataset(np.zeros((2, 2)), None)
@@ -488,6 +483,8 @@ class TestBatchIterator:
 
 class TestMinMaxStats:
     def test_identity_when_no_label_range(self):
-        stats = MinMaxStats(np.zeros(2), np.ones(2))
+        stats = MinMaxStats()
         np.testing.assert_array_equal(stats.denormalize_labels([1.5, 2.0]),
                                       [1.5, 2.0])
+        with pytest.raises(TypeError):  # keywords only: no range filled by position
+            MinMaxStats(0.0, 1.0)

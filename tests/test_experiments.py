@@ -30,11 +30,10 @@ def wine_csv_bytes(n_rows: int, seed: int = 0) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def small_domain(n, seed, domain, dim=4):
+def small_domain(n, seed, dim=4):
     rng = np.random.default_rng(seed)
     return Dataset(features=rng.normal(size=(n, dim)),
                    labels=rng.uniform(size=n),
-                   domain=domain,
                    feature_names=tuple(f"f{i}" for i in range(dim)))
 
 
@@ -43,7 +42,6 @@ class TestProtocolConfigs:
         src, tgt = ex.moons_pair(stretch=3.0, seed=4)
         assert len(src) == 2 * ex.MOONS_N_PER_CLASS
         assert len(tgt) == 2 * ex.MOONS_N_PER_CLASS
-        assert src.domain == "source" and tgt.domain == "target"
         assert src.dim == tgt.dim == 2
 
     def test_moons_pair_seeding(self):
@@ -179,10 +177,9 @@ class TestWineLoading:
     def test_loads_structurally_valid_file(self, tmp_path, monkeypatch):
         monkeypatch.setitem(ex.WINE_FILES, "red", ("winequality-red.csv", 25))
         (tmp_path / "winequality-red.csv").write_bytes(wine_csv_bytes(25))
-        ds = ex.load_wine("red", tmp_path, domain="target")
+        ds = ex.load_wine("red", tmp_path)
         assert len(ds) == 25
         assert ds.dim == ex.WINE_FEATURES
-        assert ds.domain == "target"
         assert np.issubdtype(ds.labels.dtype, np.integer)
 
     def test_checksum_sidecar_detects_tampering(self, tmp_path, monkeypatch):
@@ -278,9 +275,8 @@ class TestFetchWine:
 class TestWineBenchmarks:
     @pytest.fixture()
     def small_wine(self, monkeypatch):
-        def fake_load(color, data_dir=None, domain="source"):
-            seed = {"white": 10, "red": 20}[color]
-            return small_domain(48, seed, domain)
+        def fake_load(color, data_dir=None):
+            return small_domain(48, {"white": 10, "red": 20}[color])
 
         monkeypatch.setattr(ex, "load_wine", fake_load)
 
@@ -288,8 +284,8 @@ class TestWineBenchmarks:
         pairs = ex.wine_transfer_pairs()
         assert set(pairs) == {"white_to_red", "red_to_white"}
         nsrc, ntgt, stats = pairs["white_to_red"]
-        assert nsrc.domain == "source" and ntgt.domain == "target"
-        assert stats.scales_labels
+        white = small_domain(48, 10).labels
+        assert (stats.label_min, stats.label_max) == (white.min(), white.max())
         np.testing.assert_allclose(nsrc.features.min(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(nsrc.features.max(axis=0), 1.0, atol=1e-12)
         # target normalized with source ranges, so it may leave [0, 1]
@@ -318,6 +314,15 @@ class TestWineBenchmarks:
         rep = table.reports["H1=w1, H2=chi2"]["white_to_red"]
         assert rep["config"]["h1"]["kind"] == "w1"
         assert rep["config"]["h2"]["tag"] == "chi2"
+
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_no_seeds_is_rejected_before_any_run(self, tmp_path, n_seeds):
+        # no data files in tmp_path: the seed count is checked before they are read
+        for runner in (ex.run_moons_benchmark, ex.run_wine_benchmark, ex.run_wine_ablation,
+                       ex.run_wine_divergence_comparison):
+            kwargs = {} if runner is ex.run_moons_benchmark else {"data_dir": tmp_path}
+            with pytest.raises(ContractViolation, match="n_seeds"):
+                runner(n_seeds=n_seeds, **kwargs)
 
     def test_missing_data_propagates(self, tmp_path):
         with pytest.raises(ex.MissingDataError, match="fetch-wine"):

@@ -56,7 +56,6 @@ class TestInitParams:
         shapes = [(w.shape, b.shape) for w, b in params.extractor]
         assert shapes == [((3, 8), (1, 8)), ((8, 4), (1, 4))]
         assert params.head[0].shape == (4, 2)
-        assert params.feature_dim == 4
 
     def test_deterministic_per_seed(self):
         a = init_params(LayerSpec(hidden=(8,)), 2, seed=5)

@@ -16,6 +16,7 @@ from copulashift.training import (METHODS, TrainConfig, _auc_mann_whitney, _batc
                                   learned_shift, run_experiment,
                                   shift_report, train)
 import copulashift.autodiff as ad
+from copulashift import training
 from oracles import absolute, auc_tie_loop
 
 
@@ -65,7 +66,8 @@ class TestTrainConfig:
                 with pytest.raises(ContractViolation, match=name):
                     TrainConfig(**{name: bad})
         for name, bad in (("max_epochs", 2.5), ("early_stop_patience", 3.0),
-                          ("seed", "0"), ("batch_size", 63), ("batch_size", 0)):
+                          ("seed", "0"), ("seed", -1), ("batch_size", 63),
+                          ("batch_size", 0)):
             with pytest.raises(ContractViolation, match=name):
                 TrainConfig(**{name: bad})
         with pytest.raises(ContractViolation, match="max_epochs"):
@@ -158,15 +160,10 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation, match="momentum"):
             TrainConfig.from_dict({"momentum": 0.9})
 
-    def test_from_dict_reads_old_h2_dicts_and_rejects_mc_tags(self):
-        old = {"tag": "chi2", "alpha": None, "mc_samples": 1_000_000}
-        cfg = TrainConfig.from_dict({"h2": old})
-        assert cfg.h2 == cop.DependenceKind("chi2")
-        assert cfg.to_dict()["h2"] == {"tag": "chi2"}
+    def test_from_dict_rejects_mc_tags(self):
         for tag in ("hellinger_mc", "alpha_mc"):
             with pytest.raises(ContractViolation, match=tag):
-                TrainConfig.from_dict({"h2": {"tag": tag, "alpha": 0.5,
-                                              "mc_samples": 1_000_000}})
+                TrainConfig.from_dict({"h2": {"tag": tag}})
 
     @pytest.mark.parametrize("name, instance, required", [
         ("h1", dv.DivergenceKind("mmd", bandwidths=(0.5,)), "kind"),
@@ -174,11 +171,19 @@ class TestTrainConfig:
         ("model", LayerSpec(hidden=(3, 2), task="regression"), "hidden")])
     def test_nested_fields_share_one_rule(self, name, instance, required):
         assert getattr(TrainConfig.from_dict({name: instance}), name) is instance
-        as_dict = {**TrainConfig.from_dict({name: instance}).to_dict()[name], "extra": 1}
+        as_dict = TrainConfig.from_dict({name: instance}).to_dict()[name]
         assert getattr(TrainConfig.from_dict({name: as_dict}), name) == instance
         del as_dict[required]
         with pytest.raises(ContractViolation, match=f"{name} needs the key '{required}'"):
             TrainConfig.from_dict({name: as_dict})
+
+    @pytest.mark.parametrize("name, value, misspelt", [
+        ("h1", {"kind": "mmd", "bandwidth": [0.5]}, "bandwidth"),
+        ("h2", {"tag": "chi2", "mc_samples": 1_000_000}, "mc_samples"),  # an old h2 dict
+        ("model", {"hidden": [8, 4], "activaton": "tanh"}, "activaton")])
+    def test_nested_dict_rejects_keys_its_class_lacks(self, name, value, misspelt):
+        with pytest.raises(ContractViolation, match=f"{name} has unknown keys .*'{misspelt}'"):
+            TrainConfig.from_dict({name: value})
 
     def test_from_dict_rejects_bad_tags(self):
         with pytest.raises(ContractViolation, match="h2 must be one of"):
@@ -236,7 +241,7 @@ class TestTrainValidation:
 
     def test_dimension_mismatch_rejected(self):
         source, target = moons_domains(20)
-        wide = Dataset(features=np.zeros((40, 3)), labels=None, domain="target",
+        wide = Dataset(features=np.zeros((40, 3)), labels=None,
                        feature_names=("a", "b", "c"))
         with pytest.raises(ContractViolation, match="d=2.*d=3"):
             train(source, wide, quick_config())
@@ -245,7 +250,7 @@ class TestTrainValidation:
         source, target = moons_domains(20)
         floaty = Dataset(features=source.features,
                          labels=source.labels.astype(np.float64),
-                         domain="source", feature_names=source.feature_names)
+                         feature_names=source.feature_names)
         with pytest.raises(ContractViolation, match="integer"):
             train(floaty, target.unlabeled(), quick_config())
 
@@ -364,7 +369,7 @@ class TestTrainLoop:
         source, target = moons_domains(40)
         huge = Dataset(features=source.features,
                        labels=np.full(len(source), 1e200),
-                       domain="source", feature_names=source.feature_names)
+                       feature_names=source.feature_names)
         cfg = quick_config("mlp", model=LayerSpec(hidden=(8, 4), task="regression"),
                            max_epochs=5)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
@@ -438,8 +443,8 @@ class TestEvaluation:
     def test_regression_hand_values(self):
         params = constant_regressor(3.0)
         ds = Dataset(features=np.zeros((2, 2)), labels=np.array([2.0, 4.0]),
-                     domain="source", feature_names=("a", "b"))
-        identity = MinMaxStats(feature_min=np.zeros(2), feature_max=np.ones(2))
+                     feature_names=("a", "b"))
+        identity = MinMaxStats()
         m = evaluate_regression(params, ds, identity)
         np.testing.assert_allclose(m.rmse, 1.0, rtol=1e-12)
         np.testing.assert_allclose(m.r2, 0.0, atol=1e-12)
@@ -448,9 +453,8 @@ class TestEvaluation:
     def test_relative_error_uses_original_scale(self):
         params = constant_regressor(0.5)
         ds = Dataset(features=np.zeros((2, 2)), labels=np.array([0.0, 1.0]),
-                     domain="source", feature_names=("a", "b"))
-        stats = MinMaxStats(feature_min=np.zeros(2), feature_max=np.ones(2),
-                            label_min=10.0, label_max=20.0)
+                     feature_names=("a", "b"))
+        stats = MinMaxStats(label_min=10.0, label_max=20.0)
         m = evaluate_regression(params, ds, stats)
         # predictions denormalize to 15 against true 10 and 20.
         np.testing.assert_allclose(m.re, 0.5 * (5.0 / 10.0 + 5.0 / 20.0),
@@ -459,16 +463,16 @@ class TestEvaluation:
     def test_zero_variance_targets_rejected(self):
         params = constant_regressor(1.0)
         ds = Dataset(features=np.zeros((3, 2)), labels=np.array([2.0, 2.0, 2.0]),
-                     domain="source", feature_names=("a", "b"))
-        identity = MinMaxStats(feature_min=np.zeros(2), feature_max=np.ones(2))
+                     feature_names=("a", "b"))
+        identity = MinMaxStats()
         with pytest.raises(ContractViolation, match="zero-variance"):
             evaluate_regression(params, ds, identity)
 
     def test_unlabeled_dataset_rejected(self):
         params = constant_regressor(1.0)
-        ds = Dataset(features=np.zeros((3, 2)), labels=None, domain="source",
+        ds = Dataset(features=np.zeros((3, 2)), labels=None,
                      feature_names=("a", "b"))
-        identity = MinMaxStats(feature_min=np.zeros(2), feature_max=np.ones(2))
+        identity = MinMaxStats()
         with pytest.raises(ContractViolation):
             evaluate_regression(params, ds, identity)
 
@@ -497,7 +501,7 @@ class TestRunExperiment:
         source, target = moons_domains(40)
         labeled = Dataset(features=source.features,
                           labels=source.features[:, 0].astype(np.float64),
-                          domain="source", feature_names=source.feature_names)
+                          feature_names=source.feature_names)
         cfg = quick_config("mlp", model=LayerSpec(hidden=(8, 4), task="regression"))
         with pytest.raises(ContractViolation, match="stats"):
             run_experiment("reg", labeled, target, cfg, seeds=[0])
@@ -507,11 +511,17 @@ class TestRunExperiment:
         with pytest.raises(ContractViolation, match="seeds"):
             run_experiment("moons", source, target, quick_config(), seeds=[])
 
-    def test_target_labels_never_needed_for_training(self):
+    def test_target_labels_never_needed_for_training(self, monkeypatch):
+        seen = []
+
+        def recording_train(source, target, config):
+            seen.append(target.labels)
+            return train(source, target, config)
+
+        monkeypatch.setattr(training, "train", recording_train)
         source, target = moons_domains(40)
-        rep = run_experiment("moons", source, target.unlabeled(),
-                             quick_config(seed=0), seeds=[0],
-                             eval_target=target)
+        rep = run_experiment("moons", source, target, quick_config(seed=0), seeds=[0, 1])
+        assert seen == [None, None]
         assert "accuracy" in rep.per_seed[0]
 
     def test_learned_shift_is_finite_and_nonnegative(self):
@@ -534,7 +544,7 @@ class TestRunExperiment:
         source, target = moons_domains(30)
         cfg = quick_config(seed=0)
         clf, reg = init_params(cfg.model, 2, seed=1), constant_regressor(0.5)
-        identity = MinMaxStats(feature_min=np.zeros(2), feature_max=np.ones(2))
+        identity = MinMaxStats()
         reg_target = Dataset(target.features, target.features[:, 0])
         first = next(ad._counter)
         evaluate_classification(clf, target)
@@ -576,14 +586,14 @@ class TestShiftReport:
 
     def test_univariate_data_has_no_copula_term(self):
         a = Dataset(features=np.linspace(0, 1, 20)[:, None], labels=None,
-                    domain="source", feature_names=("x",))
+                    feature_names=("x",))
         rep = shift_report(a, a, dv.DivergenceKind("w1"), cop.DependenceKind("kl"))
         assert rep.cd is None
 
     def test_dimension_mismatch_rejected(self):
-        a = Dataset(features=np.zeros((5, 2)), labels=None, domain="source",
+        a = Dataset(features=np.zeros((5, 2)), labels=None,
                     feature_names=("a", "b"))
-        b = Dataset(features=np.zeros((5, 3)), labels=None, domain="target",
+        b = Dataset(features=np.zeros((5, 3)), labels=None,
                     feature_names=("a", "b", "c"))
         with pytest.raises(ContractViolation, match="mismatch"):
             shift_report(a, b, dv.DivergenceKind("w1"), cop.DependenceKind("kl"))
