@@ -91,11 +91,6 @@ def _load_maybe_labeled(verb: str, path, delimiter: str, label_column: str) -> D
     return ds
 
 
-def _write_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
 # --- verbs -------------------------------------------------------------------
 
 
@@ -103,10 +98,7 @@ def cmd_moons_gen(args) -> int:
     cfg = MoonsConfig(n_per_class=args.n, stretch=args.stretch,
                       noise_sigma=args.noise, seed=args.seed)
     ds = generate_moons(cfg)
-    note = {"generator": "moons", "n_per_class": cfg.n_per_class,
-            "stretch": cfg.stretch, "noise_sigma": cfg.noise_sigma,
-            "seed": cfg.seed}
-    write_dataset(ds, args.out, header_note=note)
+    write_dataset(ds, args.out, header_note={"generator": "moons", **dataclasses.asdict(cfg)})
     _say(f"wrote {args.out} ({len(ds)} rows, stretch {cfg.stretch:g})")
     return EXIT_OK
 
@@ -131,7 +123,7 @@ def cmd_train(args) -> int:
     resolved = {"config": config.to_dict(), "source": str(args.source),
                 "target": str(args.target)}
     save_params(params, ckpt_path, extra=resolved)
-    _write_json({**resolved, "trace": [t.to_dict() for t in trace]}, trace_path)
+    ex.write_json({**resolved, "trace": [t.to_dict() for t in trace]}, trace_path)
     _say(f"wrote {ckpt_path} and {trace_path} "
          f"({len(trace)} epochs, final loss {trace[-1].loss:.6f})")
     return EXIT_OK
@@ -148,18 +140,15 @@ def cmd_eval(args) -> int:
             f"eval: {args.data} has no {args.label_column!r} column to score against")
     if params.spec.task == "classification":
         m = evaluate_classification(params, ds)
-        metrics = {"accuracy": m.accuracy, "auc": m.auc}
     else:
         # Identity scaling: metrics are on the file's own label scale.
         m = evaluate_regression(params, ds, MinMaxStats())
-        metrics = {"rmse": m.rmse, "r2": m.r2, "re": m.re}
     doc = {"task": params.spec.task, "checkpoint": str(args.checkpoint),
-           "data": str(args.data), "n": len(ds), "metrics": metrics,
+           "data": str(args.data), "n": len(ds), "metrics": dataclasses.asdict(m),
            "config": extra.get("config")}
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        ex.write_json(doc, args.out)
     return EXIT_OK
 
 
@@ -185,7 +174,7 @@ def cmd_shift_report(args) -> int:
     print(buf.getvalue(), end="")
     if args.out:
         json_path, csv_path = ex.out_paths(args.out, ".json", ".csv")
-        _write_json(doc, json_path)
+        ex.write_json(doc, json_path)
         csv_path.write_text(buf.getvalue(), encoding="utf-8")
         _say(f"wrote {json_path} and {csv_path}")
     return EXIT_OK
@@ -248,10 +237,10 @@ def _add_divergence_flags(sp) -> None:
 
 
 def _moons_gen_args(sp) -> None:
-    sp.add_argument("--n", type=int, default=512, help="points per class")
-    sp.add_argument("--stretch", type=float, default=1.0)
-    sp.add_argument("--noise", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=int, default=MoonsConfig.n_per_class, help="points per class")
+    sp.add_argument("--stretch", type=float, default=MoonsConfig.stretch)
+    sp.add_argument("--noise", type=float, default=MoonsConfig.noise_sigma)
+    sp.add_argument("--seed", type=int, default=MoonsConfig.seed)
     sp.add_argument("--out", required=True)
 
 

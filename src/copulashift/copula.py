@@ -18,12 +18,12 @@ gradient, and skipping those pairs changes no bit. The plain entry points
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .divergences import _pair_index
 from .errors import ContractViolation, DomainError, ShapeError, is_finite_real, is_real
 
 EPS_CLIP = 1e-6
@@ -105,6 +105,15 @@ def _tanh_products(dT: np.ndarray, a: float) -> np.ndarray:
     t *= a
     np.tanh(t, out=t)
     return t
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every pair (i < j) of ``range(n)``, row-major; cached, so read-only."""
+    first, second = np.triu_indices(n, k=1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
 
 
 # -- closed-form pairwise divergences ------------------------------------------

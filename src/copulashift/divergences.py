@@ -73,23 +73,11 @@ def _column(x, name: str) -> np.ndarray:
     return arr
 
 
-# The tables are cached and shared, so the arrays are read-only. An MMD
-# table holds n(n-1)/2 pairs of sample rows, 190 MB at the 4898 wine rows,
-# so the cache is bounded: a run uses a few sizes, a long process many.
-@functools.lru_cache(maxsize=8)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of every pair (i < j) of ``range(n)``, in row-major order."""
-    first, second = np.triu_indices(n, k=1)
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
-
-
 def _bandwidths_from_blocks(sq_xx, sq_yy, sq_xy) -> tuple[float, float]:
     # within-sample pairs (i < j) plus every cross pair is exactly the set of
     # pooled-sample pairs, so the median here equals the pooled median
-    vals = np.concatenate([sq_xx[_pair_index(sq_xx.shape[0])],
-                           sq_yy[_pair_index(sq_yy.shape[0])],
+    vals = np.concatenate([*(row[i + 1:] for i, row in enumerate(sq_xx)),
+                           *(row[i + 1:] for i, row in enumerate(sq_yy)),
                            sq_xy.ravel()])
     base = float(np.median(vals))
     if base <= 0.0:

@@ -16,15 +16,12 @@ class ContractViolation(ValueError):
 class ShapeError(ContractViolation):
     """Operand shapes are incompatible for an operation.
 
-    Carries the operation name and both shapes so the message pinpoints
-    the offending node in a larger graph.
+    The message names the operation and both shapes, so it pinpoints the
+    offending node in a larger graph.
     """
 
     def __init__(self, op: str, shape_a, shape_b):
-        self.op = op
-        self.shape_a = tuple(shape_a)
-        self.shape_b = tuple(shape_b)
-        super().__init__(f"{op}: incompatible shapes {self.shape_a} and {self.shape_b}")
+        super().__init__(f"{op}: incompatible shapes {tuple(shape_a)} and {tuple(shape_b)}")
 
 
 class DomainError(ContractViolation):

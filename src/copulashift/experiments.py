@@ -129,10 +129,9 @@ class ExperimentTable:
         raise KeyError(f"no row labelled {label!r} in table {self.name}")
 
 
-def render_markdown(table: ExperimentTable, digits: int | None = None) -> str:
-    """Pipe-delimited Markdown with mean ± std cells."""
-    if digits is None:
-        digits = int(table.meta.get("digits", 2))
+def render_markdown(table: ExperimentTable) -> str:
+    """Pipe-delimited Markdown with mean ± std cells to ``meta["digits"]`` places, or 2."""
+    digits = int(table.meta.get("digits", 2))
     head = "| " + " | ".join([table.name] + list(table.columns)) + " |"
     rule = "| " + " | ".join(["---"] * (len(table.columns) + 1)) + " |"
     lines = [head, rule]
@@ -269,9 +268,9 @@ def load_wine(color: str, data_dir=None) -> Dataset:
 def fetch_wine(data_dir=None, progress=None) -> list:
     """Download both wine-quality CSVs and record checksum sidecars.
 
-    Files that already exist and verify are left alone. Returns the list
-    of file paths. Network failures raise MissingDataError naming the URL
-    so offline users can fetch by other means.
+    Files already present that verify are left alone (one placed by hand gets
+    its sidecar). Returns the file paths. Network failures raise
+    MissingDataError naming the URL so offline users can fetch by other means.
     """
     directory = wine_data_dir(data_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -279,15 +278,18 @@ def fetch_wine(data_dir=None, progress=None) -> list:
     for color, (name, _) in sorted(WINE_FILES.items()):
         path = directory / name
         sidecar = path.with_suffix(path.suffix + ".sha256")
-        if path.exists() and sidecar.exists():
+        if path.exists():
             try:
-                load_wine(color, directory)
+                load_wine(color, directory)  # the sidecar's checksum, if any, and the shape
+            except (MissingDataError, ContractViolation):
+                pass  # fall through and re-download
+            else:
+                if not sidecar.exists():
+                    sidecar.write_text(_sha256(path) + "  " + name + "\n", encoding="utf-8")
                 if progress is not None:
                     progress(f"{path} already present and verified")
                 paths.append(path)
                 continue
-            except MissingDataError:
-                pass  # fall through and re-download
         url = WINE_BASE_URL + name
         if progress is not None:
             progress(f"downloading {url}")
@@ -424,10 +426,14 @@ def out_paths(out_path, *suffixes: str) -> list[Path]:
     return [base.with_name(base.name + s) for s in suffixes]
 
 
+def write_json(doc, path) -> None:
+    """Write ``doc`` as JSON with a two-space indent, sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def write_table(table: ExperimentTable, out_path) -> tuple[Path, Path]:
     """Write <out>.md and <out>.json for a finished table."""
     md_path, json_path = out_paths(out_path, ".md", ".json")
     md_path.write_text(render_markdown(table) + "\n", encoding="utf-8")
-    json_path.write_text(json.dumps(table.to_dict(), indent=2, sort_keys=True)
-                         + "\n", encoding="utf-8")
+    write_json(table.to_dict(), json_path)
     return md_path, json_path

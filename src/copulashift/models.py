@@ -12,7 +12,7 @@ end to end; scoring runs the plain numpy ``forward``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -261,12 +261,7 @@ def save_params(params: ModelParams, path, extra: dict | None = None) -> None:
     """
     record = {
         "format": _CHECKPOINT_FORMAT,
-        "spec": {
-            "hidden": list(params.spec.hidden),
-            "task": params.spec.task,
-            "n_classes": params.spec.n_classes,
-            "activation": params.spec.activation,
-        },
+        "spec": asdict(params.spec),
         "input_dim": params.input_dim,
         "layers": [
             {"w": w.tolist(), "b": b.tolist()}

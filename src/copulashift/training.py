@@ -431,11 +431,11 @@ def mean_std(values) -> dict:
 
 
 def aggregate_metrics(per_seed: list[dict]) -> dict:
-    """Mean and standard deviation of every numeric per-seed field."""
+    """Mean and standard deviation of every numeric per-seed field but the seed."""
     agg = {}
     for key in per_seed[0]:
         vals = [p[key] for p in per_seed if isinstance(p[key], (int, float))]
-        if len(vals) == len(per_seed):
+        if key != "seed" and len(vals) == len(per_seed):
             agg[key] = mean_std(vals)
     return agg
 
@@ -486,12 +486,11 @@ def run_experiment(task: str, source: Dataset, target: Dataset,
                             default=trace[-1].loss)}
         if config.model.task == "classification":
             m = evaluate_classification(params, target)
-            entry.update(accuracy=m.accuracy, auc=m.auc)
         else:
             if stats is None:
                 raise ContractViolation("run_experiment: regression needs the scaler stats")
             m = evaluate_regression(params, target, stats)
-            entry.update(rmse=m.rmse, r2=m.r2, re=m.re)
+        entry.update(asdict(m))
         per_seed.append(entry)
     return MetricsReport(task=task, method=config.method, config=config.to_dict(),
                          per_seed=per_seed, aggregate=aggregate_metrics(per_seed),

@@ -14,6 +14,15 @@ and AUC (``evaluate_classification``) and ``learned_shift``'s MD and CD, for
 the regression cell its predictions on the target. Two checkouts that print
 the same object train and score these cells bit for bit alike. It takes
 about ten seconds.
+
+    python tests/fingerprint_cells.py --golden > tests/golden.json
+
+writes the record ``tests/test_golden.py`` holds the package to: the same
+fingerprints for ``GOLDEN_CELLS`` (the cells above, with the two kernel-MMD
+cells at one epoch and seed 0 to keep the test short), the floats of every
+cell that trains at most ``FLOAT_EPOCHS`` epochs, and the key of the numpy
+build they were made with. Regenerate it only for a change that moves bits
+on purpose, and name every changed cell.
 """
 
 from __future__ import annotations
@@ -74,6 +83,17 @@ CELLS = {
 }
 
 
+# name -> (run, seeds) of the cells the golden record keeps
+GOLDEN_CELLS = {
+    **{name: (run, SEEDS) for name, run in CELLS.items() if not name.endswith("-3ep")},
+    "dan-1ep": (lambda seed: moons("dan", seed, max_epochs=1), (0,)),
+    "cdan-h1-mmd-1ep": (lambda seed: moons("cdan", seed, max_epochs=1, h1="mmd"), (0,)),
+}
+# a cell this short also keeps its trace and score floats, for a numpy build
+# with another key to compare within 1e-9; longer runs compound rounding
+FLOAT_EPOCHS = 3
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -86,7 +106,34 @@ def fingerprint(params, trace, scores) -> dict:
             "scores": sha256(np.asarray(scores, dtype=np.float64).tobytes())}
 
 
+def build_key() -> dict:
+    """The numpy version, its BLAS and the CPU features it dispatches to."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "cpu_features": [*simd["baseline"], *simd["found"]]}
+
+
+def golden_cell(params, trace, scores) -> dict:
+    """A cell's fingerprint, plus its trace and score floats if it is short."""
+    record = fingerprint(params, trace, scores)
+    if len(trace) <= FLOAT_EPOCHS:
+        record["floats"] = [*(v for t in trace for v in (t.loss, t.md, t.cd, t.val)),
+                            *np.asarray(scores, dtype=np.float64).tolist()]
+    return record
+
+
+def golden() -> dict:
+    return {"key": build_key(),
+            "cells": {f"{name}@{seed}": golden_cell(*run(seed))
+                      for name, (run, seeds) in GOLDEN_CELLS.items() for seed in seeds}}
+
+
 def main() -> None:
+    if sys.argv[1:] == ["--golden"]:
+        print(json.dumps(golden(), indent=2))
+        return
     out = {f"{name}@{seed}": fingerprint(*run(seed))
            for name, run in CELLS.items() for seed in SEEDS}
     print(json.dumps(out, indent=2))

@@ -10,8 +10,9 @@ with the ``div``, ``log``, ``sin``, ``absolute``, ``mean_rows``,
 ``sort_cols``, ``neg``, ``transpose`` and ``softmax_rows`` ops only they
 build with, the per-array Adam step the flat one replaced, the row
 reductions and the CORAL centering that the column-at-a-time forms
-replaced, the tie loop of the Mann-Whitney AUC, and the per-line test the
-loader's content-line regex replaced.
+replaced, the ``np.triu_indices`` gather of the MMD median bandwidth, the
+tie loop of the Mann-Whitney AUC, and the per-line test the loader's
+content-line regex replaced.
 """
 
 from typing import Callable, Sequence
@@ -300,6 +301,19 @@ def coral_penalty_gathered(fs: ad.Node, ft: ad.Node) -> ad.Node:
 
     diff = cov(fs) - cov(ft)
     return ad.total(diff * diff) * (1.0 / (4.0 * m * m))
+
+
+def bandwidths_triu_gathered(sq_xx, sq_yy, sq_xy) -> tuple[float, float]:
+    """``divergences._bandwidths_from_blocks`` gathering each triangle by ``np.triu_indices``."""
+    vals = np.concatenate([sq_xx[np.triu_indices(sq_xx.shape[0], k=1)],
+                           sq_yy[np.triu_indices(sq_yy.shape[0], k=1)],
+                           sq_xy.ravel()])
+    base = float(np.median(vals))
+    if base <= 0.0:
+        base = float(np.mean(vals))
+    if base <= 0.0:
+        base = 1.0
+    return (base, 2.0 * base)
 
 
 def auc_tie_loop(scores, labels) -> float:

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import copulashift.autodiff as ad
 import copulashift.copula as cop
-from copulashift.copula import (H2_TAGS, DependenceKind, copula_distance,
+from copulashift.copula import (H2_TAGS, DependenceKind, _pair_index, copula_distance,
                                 copula_distance_graph, kendall_tau_smooth,
                                 pair_dependence_divergence)
-from copulashift.divergences import _pair_index
 from copulashift.errors import ContractViolation, DomainError
 from oracles import (cd_kl_gradient_analytic, copula_distance_composite,
                      copula_param_from_tau, finite_difference_check,

@@ -9,12 +9,21 @@ from copulashift.divergences import (DivergenceKind, coral_penalty_graph,
                                      mmd_squared, mmd_squared_graph,
                                      wasserstein1_1d)
 from copulashift.errors import ContractViolation, DomainError, ShapeError
-from oracles import (coral_penalty_gathered, finite_difference_check,
-                     gaussian_kl_multivariate, gaussian_kl_univariate)
+from oracles import (bandwidths_triu_gathered, coral_penalty_gathered,
+                     finite_difference_check, gaussian_kl_multivariate,
+                     gaussian_kl_univariate)
 
 # Shared tiny samples for the frozen MMD oracle values below.
 MMD_X = np.array([0.0, 1.0, 2.0])
 MMD_Y = np.array([0.5, 1.5])
+
+
+def _sq_blocks(x, y):
+    """The (xx, yy, xy) squared-distance blocks of two (n, m) samples."""
+    def sq(a, b):
+        return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return sq(x, x), sq(y, y), sq(x, y)
 
 
 class TestMMDSquared:
@@ -84,18 +93,35 @@ class TestMMDSquared:
         assert err < 1e-5
 
     def test_pair_tables_are_one_bounded_read_only_cache(self):
-        # a process that sees many sample sizes must not keep a table for each
+        # the copula owns the pair table; the MMD bandwidth keeps none, so a
+        # process that sees many sample sizes holds nothing for them
         import copulashift.copula as cop
-        assert cop._pair_index is dv._pair_index
-        dv._pair_index.cache_clear()
+        before = cop._pair_index.cache_info()
         rng = np.random.default_rng(5)
         for n in range(3, 15):
             mmd_squared(rng.normal(size=n), rng.normal(size=n))
-        info = dv._pair_index.cache_info()
-        assert info.misses == 12 and info.hits == 12  # each size serves both blocks
-        assert info.currsize == info.maxsize == 8
-        first, second = dv._pair_index(14)
+        assert cop._pair_index.cache_info() == before
+        for m in range(3, 15):
+            first, second = cop._pair_index(m)
         assert not first.flags.writeable and not second.flags.writeable
+        info = cop._pair_index.cache_info()
+        assert info.currsize == info.maxsize == 8
+
+    @pytest.mark.parametrize("blocks", [
+        _sq_blocks([[0.3]], [[1.0], [2.5]]),  # 1 and 2 rows
+        _sq_blocks([[0.3], [-1.2]], [[2.0]]),
+        _sq_blocks(np.random.default_rng(2).normal(size=(7, 3)),
+                   np.random.default_rng(3).normal(size=(4, 3))),  # n != n'
+        _sq_blocks([[0.0], [0.0], [1.0], [1.0], [0.0]], [[0.0], [2.0], [0.0]]),  # tied zeros
+        _sq_blocks(np.vstack([np.zeros((5, 1)), [[1.0]]]), np.zeros((5, 1))),  # median 0: mean
+        _sq_blocks(np.ones((3, 2)), np.ones((2, 2))),  # all pairs 0: base 1
+        (np.array([[0.0, -0.0], [-0.0, 0.0]]),  # +-0.0, median 0: mean
+         np.array([[0.0, -0.0, 2.0], [-0.0, 0.0, 0.0], [2.0, 0.0, -0.0]]),
+         np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, 0.5]])),
+    ])
+    def test_bandwidths_match_triu_gather_bytes(self, blocks):
+        got = np.array(dv._bandwidths_from_blocks(*blocks))
+        assert got.tobytes() == np.array(bandwidths_triu_gathered(*blocks)).tobytes()
 
     def test_graph_rejects_mismatched_widths(self):
         with pytest.raises(ShapeError):

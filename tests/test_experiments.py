@@ -106,7 +106,9 @@ class TestExperimentTable:
                        "| B | 2.50 ± 0.00 |")
 
     def test_render_digits_override(self):
-        got = ex.render_markdown(self._table(), digits=1)
+        table = self._table()
+        table.meta["digits"] = 1
+        got = ex.render_markdown(table)
         assert "| A | 1.0 ± 0.2 |" in got
 
     def test_to_dict_serializes(self):
@@ -260,6 +262,26 @@ class TestFetchWine:
         ex.fetch_wine(tmp_path, progress=notes.append)
         assert len(calls) == 2  # second pass downloaded nothing
         assert all("already present" in n for n in notes)
+
+    def test_files_placed_by_hand_get_their_checksum_offline(self, tmp_path, monkeypatch):
+        def refuse(url, timeout=None):
+            raise urllib.error.URLError("no route to host")
+
+        monkeypatch.setattr("urllib.request.urlopen", refuse)
+        for name, rows in ex.WINE_FILES.values():
+            (tmp_path / name).write_bytes(wine_csv_bytes(rows, seed=4))
+        paths = ex.fetch_wine(tmp_path)
+        assert [p.name for p in paths] == ["winequality-red.csv", "winequality-white.csv"]
+        for p in paths:
+            assert p.with_suffix(p.suffix + ".sha256").read_text().split()[0] == ex._sha256(p)
+
+    def test_unparsable_file_placed_by_hand_is_fetched(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("urllib.request.urlopen", self._fake_urlopen(calls))
+        (tmp_path / "winequality-red.csv").write_bytes(b"\xff\xfe not a csv")
+        ex.fetch_wine(tmp_path)
+        assert len(calls) == 2
+        assert len(ex.load_wine("red", tmp_path)) == 1599
 
     def test_corrupted_file_is_refetched(self, tmp_path, monkeypatch):
         calls = []

@@ -482,6 +482,7 @@ class TestEvaluation:
         agg = aggregate_metrics(per_seed)
         np.testing.assert_allclose(agg["accuracy"]["mean"], 0.9, rtol=1e-12)
         np.testing.assert_allclose(agg["accuracy"]["std"], 0.1, rtol=1e-12)
+        assert list(agg) == ["accuracy"]  # the seed is a label, not a metric
 
 
 class TestRunExperiment:
