@@ -60,8 +60,11 @@ def _resolve_config(args, **defaults) -> TrainConfig:
     """
     data = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
+                data = json.load(fh)
+        except ValueError as err:  # JSON's and UTF-8's decoding faults, named with the file
+            raise ContractViolation(f"--config {args.config} is not JSON: {err!r}") from None
         if not isinstance(data, dict):
             raise ContractViolation(f"--config must hold a JSON object, got {data!r}")
     flags = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
@@ -335,8 +338,7 @@ def main(argv=None) -> int:
     args = build_parser(verb).parse_args(argv)
     try:
         return args.func(args)
-    except (ContractViolation, ex.MissingDataError, OSError,
-            json.JSONDecodeError) as err:
+    except (ContractViolation, ex.MissingDataError, OSError) as err:
         _say(f"error: {err}")
         return EXIT_USAGE
     except FloatingPointError as err:  # training diverged: train names the epoch and batch

@@ -191,20 +191,24 @@ def _pair_divergences(f: np.ndarray, a: float, tag: str):
         g_rho = g_rr * rho + g_rr * rho  # mul(rho, rho) hands each factor its term
         g_tau = g_rho * ((sn > lo) & (sn < hi)) * np.cos(s) * _HALF_PI
         # d tau_ij / d d_i = a (1 - t^2) d_j / k: a symmetric (m_l, m_l, k)
-        # kernel with a zero diagonal, built block by block
-        w = t * t
+        # kernel with a zero diagonal, whose packed weights w fill its first rows
+        ml = dT.shape[0]
+        kernel = np.empty((ml, ml, k))
+        rows = kernel.reshape(ml * ml, k)
+        w = np.multiply(t, t, out=rows[:t.shape[0]])
         np.subtract(1.0, w, out=w)
         w *= a
         w *= g_tau[:, pairs].T / k
-        ml = dT.shape[0]
-        kernel = np.empty((ml, ml, k))
-        kernel.reshape(ml * ml, k)[::ml + 1] = 0.0  # the diagonal
-        start = 0
-        for i in range(ml - 1):
-            stop = start + ml - 1 - i
-            kernel[i, i + 1:] = w[start:stop]
+        # unpacked last block first: block i writes at or after row i*ml + i + 1,
+        # past the unread blocks before it; its row copy may overlap its own
+        # source, which numpy's overlapping assignment copies correctly
+        stop = w.shape[0]
+        for i in range(ml - 2, -1, -1):
+            start = stop - (ml - 1 - i)
             kernel[i + 1:, i] = w[start:stop]
-            start = stop
+            kernel[i, i + 1:] = w[start:stop]
+            stop = start
+        rows[::ml + 1] = 0.0  # the diagonal, once every block is read
         grad = np.zeros((n, m))
         grad[0:2 * k:2, live] = np.einsum("ijr,jr->ri", kernel, dT)
         grad[1:2 * k:2] = -grad[0:2 * k:2]  # a dead column's odd rows read -0.0

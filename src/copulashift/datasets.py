@@ -119,6 +119,10 @@ def _check_delimiter(delimiter) -> None:
 _CONTENT_LINE = re.compile(r"^[^\S\n]*[^\s#].*(?:\n|\Z)", re.M)
 
 
+# UTF-8, with a leading byte-order mark (Excel's "CSV UTF-8" writes one) dropped
+_ENCODING = "utf-8-sig"
+
+
 @contextlib.contextmanager
 def _reading(path):
     """Report a file's decoding and csv faults as ContractViolation naming it."""
@@ -136,7 +140,7 @@ def _reading(path):
 
 def _content_lines(path) -> list[str]:
     """A file's lines that are neither blank nor '#' comments, in one read."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding=_ENCODING) as fh:
         return _CONTENT_LINE.findall(fh.read())
 
 
@@ -146,7 +150,7 @@ def _row_lines(path, delimiter: str) -> list[int]:
     Only error messages need these, so the file is read a second time rather
     than slowing every load with per-row bookkeeping.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding=_ENCODING) as fh:
         kept = [(n, line) for n, line in enumerate(fh, start=1) if _CONTENT_LINE.match(line)]
     reader = csv.reader((line for _, line in kept), delimiter=delimiter)
     starts, start = [], 0
@@ -166,7 +170,7 @@ def _header(rows, path) -> list[str]:
 def read_header(path, delimiter: str = ",") -> list[str]:
     """A delimited file's column names, read as ``load_delimited`` reads them, up to the header."""
     _check_delimiter(delimiter)
-    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", encoding=_ENCODING) as fh:
         return _header(csv.reader(filter(_CONTENT_LINE.match, fh), delimiter=delimiter), path)
 
 
@@ -201,11 +205,12 @@ def _plain_table(body: list[str], delimiter: str, width: int):
 def load_delimited(path, delimiter: str = ",", label_column: str | None = None) -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
 
-    The file must be UTF-8 and the delimiter one character. Blank and '#'
-    lines are skipped. Every cell must parse as a real number (what
-    ``float()`` accepts); failures report the 1-based file line and the
-    column name. The designated label column, when given, is separated out
-    (int64 when all values are integers inside the int64 range).
+    The file must be UTF-8 (a leading byte-order mark is dropped) and the
+    delimiter one character. Blank and '#' lines are skipped. Every cell must
+    parse as a real number (what ``float()`` accepts); failures report the
+    1-based file line and the column name. The designated label column,
+    when given, is separated out (int64 when all values are integers inside
+    the int64 range).
     """
     _check_delimiter(delimiter)
     with _reading(path):

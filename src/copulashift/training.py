@@ -201,10 +201,10 @@ def _marginal_term(fs: ad.Node, ft: ad.Node, kind: dv.DivergenceKind) -> ad.Node
         if kind.kind == "mmd":
             term = ad.sqrt(dv.mmd_squared_graph(ad.take_cols(fs, [c]), ad.take_cols(ft, [c]),
                                                 kind.bandwidths))
-        else:  # histogram KL: constant w.r.t. the features, so read from the values
-            term = ad.constant(dv.kl_histogram_1d(fs.value[:, c], ft.value[:, c], kind.bins))
+        else:  # histogram KL: constant w.r.t. the features, so summed as plain floats
+            term = dv.kl_histogram_1d(fs.value[:, c], ft.value[:, c], kind.bins)
         total = term if total is None else total + term
-    return total
+    return total if kind.kind == "mmd" else ad.constant(total)
 
 
 def _batch_loss(params, xs, targets, xt, config: TrainConfig):
@@ -362,16 +362,12 @@ def _auc_mann_whitney(scores, labels) -> float:
     neg = scores[labels == 0]
     if pos.size == 0 or neg.size == 0:
         raise ContractViolation("AUC undefined: dataset has a single class")
-    pooled = np.concatenate([pos, neg])
-    order = np.argsort(pooled, kind="stable")
-    ranked = pooled[order]
+    pooled = np.sort(np.concatenate([pos, neg]))
     # average ranks over tie groups (Mann-Whitney, ties counted half): the
     # group holding 1-based ranks first..last gives each member (first + last) / 2
-    n = ranked.size
-    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
-    ends = np.append(starts[1:], n)
-    ranks = np.repeat(0.5 * ((starts + 1.0) + ends), ends - starts)
-    pos_rank_sum = ranks[order.argsort()[:pos.size]].sum()
+    first = np.searchsorted(pooled, pos, "left") + 1.0
+    last = np.searchsorted(pooled, pos, "right")
+    pos_rank_sum = (0.5 * (first + last)).sum()
     u = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
 

@@ -19,7 +19,8 @@ about ten seconds.
 
 writes the record ``tests/test_golden.py`` holds the package to: the same
 fingerprints for ``GOLDEN_CELLS`` (the cells above, with the two kernel-MMD
-cells at one epoch and seed 0 to keep the test short), the floats of every
+cells at one epoch and seed 0 to keep the test short, and ``cdan`` with the
+``w2`` and ``mmd`` copula forms at ten epochs), the floats of every
 cell that trains at most ``FLOAT_EPOCHS`` epochs, and the key of the numpy
 build they were made with. Regenerate it only for a change that moves bits
 on purpose, and name every changed cell.
@@ -88,6 +89,9 @@ GOLDEN_CELLS = {
     **{name: (run, SEEDS) for name, run in CELLS.items() if not name.endswith("-3ep")},
     "dan-1ep": (lambda seed: moons("dan", seed, max_epochs=1), (0,)),
     "cdan-h1-mmd-1ep": (lambda seed: moons("cdan", seed, max_epochs=1, h1="mmd"), (0,)),
+    # the H2 forms the copula backward serves beyond the kl and chi2 cells
+    "cdan-h2-w2-10ep": (lambda seed: moons("cdan", seed, max_epochs=10, h2="w2"), SEEDS),
+    "cdan-h2-mmd-10ep": (lambda seed: moons("cdan", seed, max_epochs=10, h2="mmd"), SEEDS),
 }
 # a cell this short also keeps its trace and score floats, for a numpy build
 # with another key to compare within 1e-9; longer runs compound rounding

@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import codecs
 import inspect
 import io
 import json
@@ -178,6 +179,25 @@ class TestTrainEval:
         assert 0.0 <= doc["metrics"]["accuracy"] <= 1.0
         assert doc["config"]["seed"] == 3  # checkpoint embeds its config
 
+    def test_bom_csv_with_the_label_first_trains(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        paths = {}
+        for name, stretch, seed in (("src.csv", 1, 1), ("tgt.csv", 3, 2)):
+            rows = make_moons_csv(tmp_path, name, stretch, seed).read_text().splitlines()[1:]
+            text = "".join(",".join([*cells[2:], *cells[:2]]) + "\n"
+                           for cells in (row.split(",") for row in rows))
+            assert text.startswith("label,x,y\n")
+            paths[name] = tmp_path / f"bom-{name}"
+            paths[name].write_bytes(codecs.BOM_UTF8 + text.encode())
+            plain = load_delimited(tmp_path / name, label_column="label")
+            ds = load_delimited(paths[name], label_column="label")
+            assert ds.feature_names == plain.feature_names == ["x", "y"]
+            np.testing.assert_array_equal(ds.labels, plain.labels)
+            np.testing.assert_array_equal(ds.features, plain.features)
+        code = run_cli("train", "--source", paths["src.csv"], "--target", paths["tgt.csv"],
+                       "--epochs", 2, "--out", tmp_path / "m")
+        assert code == cli.EXIT_OK, capsys.readouterr().err
+
     def test_regression_task_inferred_from_float_labels(self, tmp_path, capsys):
         src = make_regression_csv(tmp_path, "src.csv", seed=1)
         tgt = make_regression_csv(tmp_path, "tgt.csv", seed=2)
@@ -274,6 +294,21 @@ class TestTrainEval:
                            "--config", cfg, "--out", tmp_path / "m")
             assert code == cli.EXIT_USAGE
             assert name in capsys.readouterr().err
+        # a file that is not UTF-8 or not JSON is one error line naming it
+        for raw in (b"\xff\xfe\x00{", b"", b"{not json"):
+            cfg.write_bytes(raw)
+            for argv in (["train", "--source", src, "--target", tgt, "--out", tmp_path / "m"],
+                         ["shift-report", src, tgt]):
+                assert run_cli(*argv, "--config", cfg) == cli.EXIT_USAGE
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: --config {cfg} is not JSON: ")
+                assert err.count("\n") == 1
+        # a byte-order mark is read past, so the bad value is what is named
+        cfg.write_bytes(codecs.BOM_UTF8 + json.dumps({"max_epochs": 2.5}).encode())
+        code = run_cli("train", "--source", src, "--target", tgt,
+                       "--config", cfg, "--out", tmp_path / "m")
+        assert code == cli.EXIT_USAGE
+        assert "max_epochs" in capsys.readouterr().err
         code = run_cli("train", "--source", src, "--target", tgt,
                        "--hidden", "4,a", "--out", tmp_path / "m")
         assert code == cli.EXIT_USAGE

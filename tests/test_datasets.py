@@ -400,7 +400,7 @@ class TestContentLines:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "lines.csv"
             path.write_bytes("".join(pieces).encode("utf-8"))
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding=datasets._ENCODING) as fh:
                 want = [line for line in fh if is_content_line(line)]
             assert datasets._content_lines(path) == want
 

@@ -183,6 +183,8 @@ _CD_CASES = {
     "odd-and-unequal": lambda rng: (_relu_like(rng, 37, 5, dead=(2,)), _relu_like(rng, 22, 5)),
     # k = 1, where einsum sums the kernel in unrolled blocks, not in order
     "one-row-pair": lambda rng: (_relu_like(rng, 3, 8, dead=(1, 4)), rng.normal(size=(2, 8))),
+    "one-row-pair-m-is-2": lambda rng: (rng.normal(size=(2, 2)), _relu_like(rng, 3, 2)),
+    "one-row-pair-m-is-3": lambda rng: (_relu_like(rng, 3, 3, dead=(0,)), rng.normal(size=(2, 3))),
     "m-is-2": lambda rng: (_relu_like(rng, 15, 2), _relu_like(rng, 16, 2, dead=(0,))),
     "wide": lambda rng: (_relu_like(rng, 256, 64, dead=range(0, 64, 3)),
                          _relu_like(rng, 256, 64, dead=range(1, 64, 5))),
@@ -213,6 +215,32 @@ class TestCopulaDistanceNode:
             for f, dead in ((fs, dead_s), (ft, dead_t)):
                 assert np.sum(~(cop._paired_diffs(f) != 0.0).any(axis=1)) == dead
         assert np.signbit(_CD_CASES["negative-zeros"](rng)[0]).any()
+
+    def test_cases_reach_every_shape_of_the_kernel_unpack(self):
+        # the backward unpacks the packed pair weights into the kernel block by
+        # block, last first: no block for 0 or 1 live columns, one for 2, and
+        # from 3 a first block whose row copy overlaps its own source; at k = 1
+        # every column counts as live
+        rng = np.random.default_rng(0)
+        reached = set()
+        for make in _CD_CASES.values():
+            for f in make(rng):
+                k = f.shape[0] // 2
+                live = f.shape[1] if k == 1 else np.sum((cop._paired_diffs(f) != 0.0).any(axis=1))
+                reached.add((min(int(live), 3), k == 1))
+        assert reached >= {(0, False), (1, False), (2, False), (3, False), (2, True), (3, True)}
+
+    @pytest.mark.parametrize("tag", cop.H2_TAGS)
+    def test_backward_twice_gives_the_same_bits(self, tag):
+        rng = np.random.default_rng(len(tag))
+        for case in sorted(_CD_CASES):
+            fs, ft = (ad.leaf(v) for v in _CD_CASES[case](rng))
+            out = cop.copula_distance_graph(fs, ft, 0.35, cop.DependenceKind(tag), 0.7)
+            grads = []
+            for _ in range(2):
+                ad.backward(out)
+                grads.append(fs.grad.tobytes() + ft.grad.tobytes())
+            assert grads[0] == grads[1], case
 
     def test_one_node_with_both_domains_as_parents(self):
         fs, ft = ad.leaf(np.eye(4)), ad.leaf(np.ones((6, 4)))
@@ -407,10 +435,13 @@ def test_a_moons_epoch_checks_only_its_two_batches(monkeypatch):
 @pytest.mark.parametrize("tag", cop.H2_TAGS)
 def test_a_moons_cdan_step_reaches_few_nodes(tag):
     # the graph composites of the copula distance and the W1 term made one
-    # step reach 45, 49, 61 and 75 nodes for kl, chi2, w2 and mmd
+    # step reach 45, 49, 61 and 75 nodes for kl, chi2, w2 and mmd; the
+    # histogram KL term is one constant, where a constant and an add per
+    # feature column made 25
     src, tgt = moons_pair(3.0, 0)
-    cfg = training.TrainConfig.from_dict({"h2": tag}, base=moons_config("cdan"))
-    params = models.init_params(cfg.model, src.dim, 0)
-    loss, _, _ = training._batch_loss(params, src.features, models.one_hot(src.labels, 2),
-                                      tgt.features, cfg)
-    assert len(ad._reachable(loss)) == 19
+    for h1 in ("w1", "kl"):
+        cfg = training.TrainConfig.from_dict({"h1": h1, "h2": tag}, base=moons_config("cdan"))
+        params = models.init_params(cfg.model, src.dim, 0)
+        loss, _, _ = training._batch_loss(params, src.features, models.one_hot(src.labels, 2),
+                                          tgt.features, cfg)
+        assert len(ad._reachable(loss)) == 19, h1
