@@ -118,9 +118,7 @@ def cmd_train(args) -> int:
     else:
         model = {"task": "regression"}
     config = _resolve_config(args, model=model)
-    # a diverging run ends in train's one non-finite-loss error, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        params, trace = train(source, target.unlabeled(), config)
+    params, trace = train(source, target.unlabeled(), config)
 
     ckpt_path, trace_path = ex.out_paths(args.out, ".ckpt.json", ".trace.json")
     resolved = {"config": config.to_dict(), "source": str(args.source),
@@ -337,11 +335,13 @@ def main(argv=None) -> int:
     verb = argv[0] if argv and argv[0] in {v[0] for v in _VERBS} else None
     args = build_parser(verb).parse_args(argv)
     try:
-        return args.func(args)
+        # overflow ends in train's non-finite-loss error or a saturated tanh: no warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ContractViolation, ex.MissingDataError, OSError) as err:
         _say(f"error: {err}")
         return EXIT_USAGE
-    except FloatingPointError as err:  # training diverged: train names the epoch and batch
+    except FloatingPointError as err:  # a diverging run, or a shift report that overflowed
         _say(f"error: {err}")
         return EXIT_FAILURE
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation, DomainError, ShapeError, is_finite_real, is_real
+from .errors import ContractViolation, DomainError, ShapeError, check_real, is_real
 
 EPS_CLIP = 1e-6
 
@@ -75,9 +75,7 @@ def kendall_tau_smooth(pairs, a: float) -> float:
 
 
 def _check_sharpness(a) -> float:
-    if not is_finite_real(a) or a <= 0:
-        raise ContractViolation(f"smoothing sharpness a must be a positive number, got {a!r}")
-    return float(a)
+    return check_real("copula", "smoothing sharpness a", a, 0, strict=True)
 
 
 def _paired_diffs(f: np.ndarray) -> np.ndarray:
@@ -231,10 +229,7 @@ def copula_distance_graph(fs: ad.Node, ft: ad.Node, beta: float,
     what the products would give. Value and gradients have the bits of the
     graph composite of autodiff ops.
     """
-    if not is_finite_real(beta) or beta < 0:
-        raise ContractViolation(
-            f"copula_distance: beta must be a finite number >= 0, got {beta!r}")
-    beta = float(beta)
+    beta = check_real("copula_distance", "beta", beta, 0)
     a = _check_sharpness(a)
     if fs.shape[1] != ft.shape[1]:
         raise ShapeError("copula_distance", fs.shape, ft.shape)

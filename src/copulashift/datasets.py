@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, is_finite_real, is_int
+from .errors import ContractViolation, DomainError, check_int, check_real
 
 
 @dataclass
@@ -71,18 +71,9 @@ class MoonsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_int(self.n_per_class) or self.n_per_class < 1:
-            raise ContractViolation(
-                f"MoonsConfig: n_per_class must be a positive integer, got {self.n_per_class!r}")
-        for name, low in (("stretch", 1.0), ("noise_sigma", 0.0)):
-            value = getattr(self, name)
-            if not is_finite_real(value) or value < low:
-                raise ContractViolation(
-                    f"MoonsConfig: {name} must be a finite number >= {low}, got {value!r}")
-        if not is_int(self.seed) or self.seed < 0:
-            raise ContractViolation(
-                f"MoonsConfig: seed must be an integer >= 0, got {self.seed!r}")
-        object.__setattr__(self, "n_per_class", int(self.n_per_class))
+        for name, check, low in (("n_per_class", check_int, 1), ("stretch", check_real, 1.0),
+                                 ("noise_sigma", check_real, 0.0), ("seed", check_int, 0)):
+            object.__setattr__(self, name, check("MoonsConfig", name, getattr(self, name), low))
 
 
 def generate_moons(config: MoonsConfig) -> Dataset:

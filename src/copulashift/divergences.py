@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation, DomainError, ShapeError, is_finite_real, is_int
+from .errors import ContractViolation, DomainError, ShapeError, check_int, check_real
 
 H1_TAGS = ("mmd", "w1", "kl")
+
+MAX_BINS = 2 ** 20  # the histogram KL's count, edge and smoothed arrays: 8 MB each at most
 
 
 @dataclass(frozen=True)
@@ -42,19 +44,15 @@ class DivergenceKind:
         if self.bandwidths is not None:
             if self.kind != "mmd":
                 raise ContractViolation("DivergenceKind: bandwidths apply to 'mmd' only")
-            bw = tuple(self.bandwidths) if isinstance(self.bandwidths, (tuple, list)) else ()
-            if not bw or not all(is_finite_real(b) and b > 0.0 for b in bw):
+            if not isinstance(self.bandwidths, (tuple, list)) or not self.bandwidths:
                 raise ContractViolation(
-                    f"DivergenceKind: bandwidths must be a list of positive numbers, "
+                    f"DivergenceKind: bandwidths must be a nonempty list of numbers, "
                     f"got {self.bandwidths!r}")
-            object.__setattr__(self, "bandwidths", tuple(float(b) for b in bw))
-        object.__setattr__(self, "bins", _check_bins("DivergenceKind", self.bins))
-
-
-def _check_bins(where: str, bins) -> int:
-    if not is_int(bins) or bins < 2:
-        raise ContractViolation(f"{where}: bins must be an integer >= 2, got {bins!r}")
-    return int(bins)
+            object.__setattr__(self, "bandwidths", tuple(
+                check_real("DivergenceKind", f"bandwidths[{k}]", b, 0.0, strict=True)
+                for k, b in enumerate(self.bandwidths)))
+        object.__setattr__(self, "bins",
+                           check_int("DivergenceKind", "bins", self.bins, 2, MAX_BINS))
 
 
 def _column(x, name: str) -> np.ndarray:
@@ -194,7 +192,7 @@ def kl_histogram_1d(x, y, bins: int = 32) -> float:
     1/(bins*N) per bin for a sample of size N, so the estimate stays finite
     on disjoint supports and is exactly zero for identical samples.
     """
-    bins = _check_bins("kl_histogram_1d", bins)
+    bins = check_int("kl_histogram_1d", "bins", bins, 2, MAX_BINS)
     xa = _column(x, "kl_histogram_1d")
     ya = _column(y, "kl_histogram_1d")
     lo = min(xa.min(), ya.min())

@@ -49,3 +49,24 @@ def is_finite_real(value) -> bool:
         return is_real(value) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _reject(where: str, name: str, what: str, value) -> ContractViolation:
+    return ContractViolation(f"{where + ': ' if where else ''}{name} must be {what}, got {value!r}")
+
+
+def check_int(where: str, name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int if it is one (see ``is_int``) in [low, high], else a
+    ContractViolation."""
+    if is_int(value) and low <= value and (high is None or value <= high):
+        return int(value)
+    cap = "" if high is None else f" and <= {high}"
+    raise _reject(where, name, f"an integer >= {low}{cap}", value)
+
+
+def check_real(where: str, name: str, value, low: float, *, strict: bool = False) -> float:
+    """``value`` as a float if finite (see ``is_finite_real``) and >= ``low`` (> if
+    ``strict``), else a ContractViolation."""
+    if is_finite_real(value) and (value > low if strict else value >= low):
+        return float(value)
+    raise _reject(where, name, f"a finite number {'>' if strict else '>='} {low}", value)

@@ -28,7 +28,7 @@ from .copula import H2_TAGS
 from .datasets import (Dataset, MoonsConfig, generate_moons, load_delimited,
                        minmax_normalize)
 from .divergences import H1_TAGS
-from .errors import ContractViolation, is_int
+from .errors import ContractViolation, check_int
 from .models import LayerSpec
 from .training import (TrainConfig, evaluate_classification, mean_std,
                        run_experiment, train)
@@ -146,9 +146,7 @@ def render_markdown(table: ExperimentTable) -> str:
 
 def _seed_range(n_seeds) -> range:
     """The seeds 0..n_seeds-1 of a table, at least one of them."""
-    if not is_int(n_seeds) or n_seeds < 1:
-        raise ContractViolation(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
-    return range(n_seeds)
+    return range(check_int("", "n_seeds", n_seeds, 1))
 
 
 def _finish(name, columns, rows, meta, reports, failures) -> ExperimentTable:

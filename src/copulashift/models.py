@@ -17,11 +17,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractViolation, DomainError, ShapeError, is_int
+from .errors import ContractViolation, DomainError, ShapeError, check_int
 
 _CHECKPOINT_FORMAT = "copulashift-params-v1"
 
 _ACTIVATIONS = ("relu", "tanh")  # the activations autodiff.dense applies
+
+# every layer width, n_classes included; cdan's copula arrays grow as m^2 (see the README)
+MAX_WIDTH = 256
 
 
 @dataclass(frozen=True)
@@ -38,20 +41,17 @@ class LayerSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        hidden = tuple(self.hidden) if isinstance(self.hidden, (tuple, list)) else ()
-        if not hidden or not all(is_int(h) and h >= 1 for h in hidden):
+        if not isinstance(self.hidden, (tuple, list)) or not self.hidden:
             raise ContractViolation(
-                f"LayerSpec: hidden must be a list of positive integer widths, "
-                f"got {self.hidden!r}")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in hidden))
+                f"LayerSpec: hidden must be a nonempty list of widths, got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(
+            check_int("LayerSpec", f"hidden[{k}]", h, 1, MAX_WIDTH)
+            for k, h in enumerate(self.hidden)))
         if self.task not in ("classification", "regression"):
             raise ContractViolation(f"LayerSpec: unknown task {self.task!r}")
         if self.task == "classification":
-            if not is_int(self.n_classes) or self.n_classes < 2:
-                raise ContractViolation(
-                    f"LayerSpec: classification needs an integer n_classes >= 2, "
-                    f"got {self.n_classes!r}")
-            object.__setattr__(self, "n_classes", int(self.n_classes))
+            object.__setattr__(self, "n_classes",
+                               check_int("LayerSpec", "n_classes", self.n_classes, 2, MAX_WIDTH))
         else:
             object.__setattr__(self, "n_classes", None)
         if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
@@ -120,11 +120,9 @@ class ModelParams:
 
 def init_params(spec: LayerSpec, input_dim: int, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, fully determined by the seed."""
-    if not is_int(input_dim) or input_dim < 1:
-        raise ContractViolation(
-            f"init_params: input_dim must be an integer >= 1, got {input_dim!r}")
+    input_dim = check_int("init_params", "input_dim", input_dim, 1)
     rng = np.random.default_rng(seed)
-    widths = [int(input_dim), *spec.hidden, spec.output_dim]
+    widths = [input_dim, *spec.hidden, spec.output_dim]
 
     def glorot(fan_in, fan_out):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -132,7 +130,7 @@ def init_params(spec: LayerSpec, input_dim: int, seed: int) -> ModelParams:
 
     layers = [(glorot(widths[k], widths[k + 1]), np.zeros((1, widths[k + 1])))
               for k in range(len(widths) - 1)]
-    return ModelParams(spec, int(input_dim), layers[:-1], layers[-1])
+    return ModelParams(spec, input_dim, layers[:-1], layers[-1])
 
 
 def forward(x, params: ModelParams) -> np.ndarray:

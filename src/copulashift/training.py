@@ -24,7 +24,7 @@ from . import divergences as dv
 from . import copula as cop
 from .datasets import Dataset, batch_iterator, MinMaxStats
 from . import models
-from .errors import ContractViolation, DomainError, is_finite_real, is_int
+from .errors import ContractViolation, DomainError, check_int, check_real
 from .models import (LayerSpec, ModelParams, check_class_indices, init_params,
                      extract_features, forward, head_outputs, mse_loss, one_hot,
                      predict_proba, predict_regression)
@@ -89,27 +89,15 @@ class TrainConfig:
             raise ContractViolation(f"TrainConfig: method must be one of {METHODS}")
         for name, low in (("max_epochs", 1), ("early_stop_patience", 0), ("batch_size", 2),
                           ("seed", 0)):
-            value = getattr(self, name)
-            if not is_int(value) or value < low:
-                raise ContractViolation(
-                    f"TrainConfig: {name} must be an integer >= {low}, got {value!r}")
-        for name in ("alpha", "beta", "lambda_", "learning_rate", "tanh_a",
-                     "holdout_fraction"):
-            value = getattr(self, name)
-            if not is_finite_real(value):
-                raise ContractViolation(
-                    f"TrainConfig: {name} must be a finite number, got {value!r}")
-        for name in ("alpha", "beta", "lambda_"):
-            if getattr(self, name) < 0:
-                raise ContractViolation(f"TrainConfig: {name} must be >= 0")
-        if self.learning_rate <= 0:
-            raise ContractViolation("TrainConfig: learning_rate must be positive")
+            object.__setattr__(self, name, check_int("TrainConfig", name, getattr(self, name), low))
+        for name in ("alpha", "beta", "lambda_", "learning_rate", "tanh_a", "holdout_fraction"):
+            value = check_real("TrainConfig", name, getattr(self, name), 0,
+                               strict=name in ("learning_rate", "tanh_a"))
+            object.__setattr__(self, name, value)
         if self.batch_size % 2 != 0:
             raise ContractViolation(
                 f"TrainConfig: batch_size must be even and >= 2, got {self.batch_size}")
-        if self.tanh_a <= 0:
-            raise ContractViolation("TrainConfig: tanh_a must be positive")
-        if not 0.0 <= self.holdout_fraction < 1.0:
+        if self.holdout_fraction >= 1.0:
             raise ContractViolation("TrainConfig: holdout_fraction must be in [0, 1)")
         if self.method == "cdan" and self.model.feature_dim < 2:
             raise ContractViolation(
@@ -507,9 +495,12 @@ def shift_report(a: Dataset, b: Dataset, h1: dv.DivergenceKind,
                  tanh_a: float = 100.0) -> ShiftReport:
     """Per-feature marginal divergences and the copula distance of raw data.
 
-    ``beta`` scales every copula pair alike.
+    ``beta`` scales every copula pair alike. A divergence that overflows to
+    inf or NaN raises FloatingPointError.
     """
     if a.dim != b.dim:
         raise ContractViolation(f"shift_report: dimension mismatch {a.dim} vs {b.dim}")
     md, cd = _md_and_cd(a.features, b.features, h1, h2, beta, tanh_a)
+    if not np.isfinite([*md, 0.0 if cd is None else cd]).all():
+        raise FloatingPointError("shift_report: a divergence overflowed float64 to inf or nan")
     return ShiftReport(md_per_feature=md, cd=cd, feature_names=list(a.feature_names))
