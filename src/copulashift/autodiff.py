@@ -96,12 +96,6 @@ class Node:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -144,13 +138,6 @@ def add(a, b) -> Node:
     out = _seal(a.value + b.value)
     return Node(out, "add", (a, b),
                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def sub(a, b) -> Node:
-    a, b = _pair("sub", a, b)
-    out = _seal(a.value - b.value)
-    return Node(out, "sub", (a, b),
-                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Node:
@@ -304,15 +291,6 @@ def total(a) -> Node:
     shape = a.shape
     return Node(out, "total", (a,),
                 lambda g: (np.full(shape, g[0, 0]),))
-
-
-def mean(a) -> Node:
-    """Mean of all entries, as a (1, 1) node."""
-    a = constant(a)
-    out = _seal(np.array([[a.value.mean()]]))
-    shape, size = a.shape, a.value.size
-    return Node(out, "mean", (a,),
-                lambda g: (np.full(shape, g[0, 0] / size),))
 
 
 def pairwise_diff(x, y) -> Node:

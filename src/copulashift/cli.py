@@ -28,8 +28,8 @@ import numpy as np
 
 from . import experiments as ex
 from .copula import H2_TAGS
-from .datasets import (Dataset, MinMaxStats, MoonsConfig, generate_moons,
-                       load_delimited, read_header, write_dataset)
+from .datasets import (Dataset, MinMaxStats, MoonsConfig, generate_moons, read_table,
+                       split_label, write_dataset)
 from .divergences import H1_TAGS
 from .errors import ContractViolation
 from .models import load_checkpoint, save_params
@@ -87,8 +87,8 @@ def _resolve_config(args, **defaults) -> TrainConfig:
 
 def _load_maybe_labeled(verb: str, path, delimiter: str, label_column: str) -> Dataset:
     """Load a CSV that has data rows, with ``label_column`` as the label if present."""
-    column = label_column if label_column in read_header(path, delimiter) else None
-    ds = load_delimited(path, delimiter=delimiter, label_column=column)
+    header, data = read_table(path, delimiter)
+    ds = split_label(header, data, label_column if label_column in header else None)
     if len(ds) == 0:
         raise ContractViolation(f"{verb}: {path} has no data rows")
     return ds

@@ -9,7 +9,6 @@ the loader skips.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import re
@@ -61,6 +60,10 @@ class Dataset:
         return replace(self, labels=None)
 
 
+# points per moon: generate_moons' arrays then take 8 MB each at most
+MAX_N_PER_CLASS = 2 ** 18
+
+
 @dataclass(frozen=True)
 class MoonsConfig:
     """Stretched two-moons generator settings."""
@@ -71,9 +74,11 @@ class MoonsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, check, low in (("n_per_class", check_int, 1), ("stretch", check_real, 1.0),
-                                 ("noise_sigma", check_real, 0.0), ("seed", check_int, 0)):
-            object.__setattr__(self, name, check("MoonsConfig", name, getattr(self, name), low))
+        for name, check, *bounds in (("n_per_class", check_int, 1, MAX_N_PER_CLASS),
+                                     ("stretch", check_real, 1.0),
+                                     ("noise_sigma", check_real, 0.0), ("seed", check_int, 0)):
+            value = check("MoonsConfig", name, getattr(self, name), *bounds)
+            object.__setattr__(self, name, value)
 
 
 def generate_moons(config: MoonsConfig) -> Dataset:
@@ -114,35 +119,15 @@ _CONTENT_LINE = re.compile(r"^[^\S\n]*[^\s#].*(?:\n|\Z)", re.M)
 _ENCODING = "utf-8-sig"
 
 
-@contextlib.contextmanager
-def _reading(path):
-    """Report a file's decoding and csv faults as ContractViolation naming it."""
-    try:
-        yield
-    except UnicodeDecodeError as err:
-        try:  # a lazy read counts the offset from its 8 KB chunk, a whole read from the file start
-            _content_lines(path)
-        except UnicodeDecodeError as whole:
-            err = whole
-        raise ContractViolation(f"load_delimited: {path} is not UTF-8 text: {err}") from None
-    except csv.Error as err:
-        raise ContractViolation(f"load_delimited: {path}: {err}") from None
-
-
-def _content_lines(path) -> list[str]:
-    """A file's lines that are neither blank nor '#' comments, in one read."""
-    with open(path, "r", encoding=_ENCODING) as fh:
-        return _CONTENT_LINE.findall(fh.read())
-
-
-def _row_lines(path, delimiter: str) -> list[int]:
+def _row_lines(text: str, delimiter: str) -> list[int]:
     """The 1-based file line each csv row of the content lines starts on, header first.
 
-    Only error messages need these, so the file is read a second time rather
-    than slowing every load with per-row bookkeeping.
+    Only error messages need these, so the text is split a second time, on
+    '\n' as iterating the file splits it, rather than slowing every load
+    with per-row bookkeeping.
     """
-    with open(path, "r", encoding=_ENCODING) as fh:
-        kept = [(n, line) for n, line in enumerate(fh, start=1) if _CONTENT_LINE.match(line)]
+    kept = [(n, line) for n, line in enumerate(text.split("\n"), start=1)
+            if _CONTENT_LINE.match(line)]
     reader = csv.reader((line for _, line in kept), delimiter=delimiter)
     starts, start = [], 0
     for _ in reader:  # a quoted cell may span lines
@@ -156,13 +141,6 @@ def _header(rows, path) -> list[str]:
     if first is None:
         raise ContractViolation(f"load_delimited: {path} has no header row")
     return [h.strip().strip('"') for h in first]
-
-
-def read_header(path, delimiter: str = ",") -> list[str]:
-    """A delimited file's column names, read as ``load_delimited`` reads them, up to the header."""
-    _check_delimiter(delimiter)
-    with _reading(path), open(path, "r", encoding=_ENCODING) as fh:
-        return _header(csv.reader(filter(_CONTENT_LINE.match, fh), delimiter=delimiter), path)
 
 
 # Printable ASCII, tab and newline, without '"' or '_'. On a body of these
@@ -200,21 +178,44 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None) 
     delimiter one character. Blank and '#' lines are skipped. Every cell must
     parse as a real number (what ``float()`` accepts); failures report the
     1-based file line and the column name. The designated label column,
-    when given, is separated out (int64 when all values are integers inside
-    the int64 range).
+    when given, is separated out by ``split_label``.
+    """
+    return split_label(*read_table(path, delimiter, label_column), label_column)
+
+
+def read_table(path, delimiter: str = ",", label_column: str | None = None):
+    """A delimited text file's column names and its float64 body, in one read.
+
+    It reads files as ``load_delimited`` describes. A ``label_column`` the
+    header lacks is reported after the file's csv faults and before its
+    cell faults.
     """
     _check_delimiter(delimiter)
-    with _reading(path):
-        lines = _content_lines(path)
+    try:
+        with open(path, "r", encoding=_ENCODING) as fh:
+            text = fh.read()
+        lines = _CONTENT_LINE.findall(text)
         rows = csv.reader(lines, delimiter=delimiter)
         header = _header(rows, path)
         data = _plain_table(lines[rows.line_num:], delimiter, len(header))
-        body = None if data is not None else list(rows)  # csv faults before a missing label
+        body = None if data is not None else list(rows)
+    except UnicodeDecodeError as err:
+        raise ContractViolation(f"load_delimited: {path} is not UTF-8 text: {err}") from None
+    except csv.Error as err:
+        raise ContractViolation(f"load_delimited: {path}: {err}") from None
     if label_column is not None and label_column not in header:
         raise ContractViolation(
             f"load_delimited: label column {label_column!r} not in header {header}")
     if body is not None:
-        data = _parse_body(body, header, path, delimiter)
+        data = _parse_body(body, header, text, delimiter)
+    return header, data
+
+
+def split_label(header: list[str], data: np.ndarray, label_column: str | None) -> Dataset:
+    """The table as a Dataset, with column ``label_column``, if given, as its labels.
+
+    The labels are int64 when all values are integers inside the int64 range.
+    """
     if label_column is None:
         return Dataset(data, None, feature_names=header)
     li = header.index(label_column)
@@ -227,18 +228,18 @@ def load_delimited(path, delimiter: str = ",", label_column: str | None = None) 
     return Dataset(features, labels, feature_names=names, label_name=label_column)
 
 
-def _parse_body(body, header, path, delimiter: str) -> np.ndarray:
+def _parse_body(body, header, text: str, delimiter: str) -> np.ndarray:
     """The csv rows of a file body as a float64 array, or the first fault named."""
     for r, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise ContractViolation(
-                f"load_delimited: line {_row_lines(path, delimiter)[r]} has {len(row)} cells, "
+                f"load_delimited: line {_row_lines(text, delimiter)[r]} has {len(row)} cells, "
                 f"header has {len(header)}")
     try:
         # numpy's str -> float64 cast accepts and rejects what float() does
         return np.array(body, dtype=np.float64).reshape(len(body), len(header))
     except ValueError:
-        lines = _row_lines(path, delimiter)
+        lines = _row_lines(text, delimiter)
         for r, row in enumerate(body, start=1):  # the first cell float() rejects, row-major
             for c, cell in enumerate(row):
                 try:

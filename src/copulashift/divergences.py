@@ -11,6 +11,7 @@ returns its value. The CORAL covariance-alignment penalty is graph-only.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,9 @@ class DivergenceKind:
                 raise ContractViolation(
                     f"DivergenceKind: bandwidths must be a nonempty list of numbers, "
                     f"got {self.bandwidths!r}")
+            # a subnormal bandwidth would make the kernel's -1/b infinite
             object.__setattr__(self, "bandwidths", tuple(
-                check_real("DivergenceKind", f"bandwidths[{k}]", b, 0.0, strict=True)
+                check_real("DivergenceKind", f"bandwidths[{k}]", b, sys.float_info.min)
                 for k, b in enumerate(self.bandwidths)))
         object.__setattr__(self, "bins",
                            check_int("DivergenceKind", "bins", self.bins, 2, MAX_BINS))

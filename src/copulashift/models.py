@@ -246,9 +246,26 @@ def mse_loss(features: ad.Node, targets, params: ModelParams) -> ad.Node:
     if t.shape[0] != features.shape[0]:
         raise ContractViolation(
             f"mse_loss: {t.shape[0]} targets for {features.shape[0]} rows")
-    pred = head_outputs(features, params)
-    resid = pred - ad.constant(t.reshape(-1, 1))
-    return ad.mean(resid * resid)
+    return _squared_error_loss(head_outputs(features, params), ad.tensor(t.reshape(-1, 1)))
+
+
+def squared_error(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``mean((pred - targets)^2)`` as a (1, 1) array."""
+    resid = pred - targets
+    return np.array([[(resid * resid).mean()]])
+
+
+def _squared_error_loss(pred: ad.Node, targets: np.ndarray) -> ad.Node:
+    """``squared_error`` of a prediction node as one node.
+
+    It replays the graph composite (sub, mul, mean) op for op, so its bits
+    are the same.
+    """
+    def back(g):
+        g_sq = np.full(targets.shape, g[0, 0] / targets.size) * (pred.value - targets)
+        return (g_sq + g_sq,)  # both factors of resid * resid are one node
+
+    return ad.Node(squared_error(pred.value, targets), "squared_error", (pred,), back)
 
 
 def save_params(params: ModelParams, path, extra: dict | None = None) -> None:

@@ -243,8 +243,7 @@ def _validation_loss(params, x, targets) -> float | None:
         return None
     if params.spec.task == "classification":
         return float(models.cross_entropy(predict_proba(x, params), targets)[0, 0])
-    resid = predict_regression(x, params) - targets
-    return float((resid * resid).mean())
+    return float(models.squared_error(predict_regression(x, params), targets)[0, 0])
 
 
 def train(source: Dataset, target: Dataset, config: TrainConfig):

@@ -21,24 +21,28 @@ writes the record ``tests/test_golden.py`` holds the package to: the same
 fingerprints for ``GOLDEN_CELLS`` (the cells above, with the two kernel-MMD
 cells at one epoch and seed 0 to keep the test short, and ``cdan`` with the
 ``w2`` and ``mmd`` copula forms at ten epochs), the floats of every
-cell that trains at most ``FLOAT_EPOCHS`` epochs, and the key of the numpy
-build they were made with. Regenerate it only for a change that moves bits
+cell that trains at most ``FLOAT_EPOCHS`` epochs, the stdout hash and
+floats of two ``shift-report`` cells, and the key of the numpy build they
+were made with. Regenerate it only for a change that moves bits
 on purpose, and name every changed cell.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from copulashift import training  # noqa: E402
-from copulashift.datasets import Dataset  # noqa: E402
+from copulashift import cli, training  # noqa: E402
+from copulashift.datasets import Dataset, MoonsConfig, generate_moons, write_dataset  # noqa: E402
 from copulashift.experiments import MOONS_N_PER_CLASS, moons_config, moons_pair  # noqa: E402
 from copulashift.models import predict_regression  # noqa: E402
 
@@ -67,6 +71,46 @@ def regression(method, seed):
     return params, trace, predict_regression(tgt.features, params)
 
 
+def wine_csvs(seed, paths) -> list[str]:
+    """Two ';' files with an integer ``quality`` column last; the flags that read them."""
+    rng = np.random.default_rng(seed)
+    mix = np.eye(4) + 0.5 * rng.normal(size=(4, 4))
+    for path, rows, shift in zip(paths, (40, 30), (0.0, 0.7)):
+        feats = (rng.normal(shift, 1.0, size=(rows, 4)) @ mix) * [1.0, 0.1, 30.0, 4.0]
+        quality = rng.integers(3, 9, size=rows)
+        lines = [";".join(["fixed acidity", "pH", "sulfur", "alcohol", "quality"])]
+        lines += [";".join([*(f"{v:.6g}" for v in row), str(q)])
+                  for row, q in zip(feats, quality)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["--delimiter", ";", "--label-column", "quality"]
+
+
+def moons_csvs(seed, paths) -> list[str]:
+    """Two ``write_dataset`` files, each with its '#' header note; the flags that read them."""
+    for k, (path, stretch) in enumerate(zip(paths, (1.0, 3.0))):
+        cfg = MoonsConfig(n_per_class=16, stretch=stretch, seed=seed + k)
+        write_dataset(generate_moons(cfg), path, header_note={"stretch": stretch})
+    return ["--h1", "mmd", "--h2", "w2"]
+
+
+def shift_report(write, seed) -> dict:
+    """A ``shift-report`` run on the CSVs ``write`` makes: its stdout's SHA-256 and its floats.
+
+    The temporary directory's name is taken out of stdout before hashing.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / name) for name in ("a.csv", "b.csv")]
+        flags = write(seed, [Path(p) for p in paths])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["shift-report", *paths, *flags])
+    if code != 0:
+        raise RuntimeError(f"shift-report exited {code}")
+    doc, _ = json.JSONDecoder().raw_decode(out.getvalue())
+    return {"stdout": sha256(out.getvalue().replace(tmp, "<tmp>").encode()),
+            "floats": [*doc["md_per_feature"], doc["cd"]]}
+
+
 CELLS = {
     # the table-3 protocol: moons at 3x, full batch, early stopping
     "mlp": lambda seed: moons("mlp", seed),
@@ -84,14 +128,23 @@ CELLS = {
 }
 
 
-# name -> (run, seeds) of the cells the golden record keeps
+def trained(run):
+    """The golden record of a training cell ``run``, as a function of the seed."""
+    return lambda seed: golden_cell(*run(seed))
+
+
+# name -> (its record as a function of the seed, seeds) of the cells the golden record keeps
 GOLDEN_CELLS = {
-    **{name: (run, SEEDS) for name, run in CELLS.items() if not name.endswith("-3ep")},
-    "dan-1ep": (lambda seed: moons("dan", seed, max_epochs=1), (0,)),
-    "cdan-h1-mmd-1ep": (lambda seed: moons("cdan", seed, max_epochs=1, h1="mmd"), (0,)),
+    **{name: (trained(run), SEEDS) for name, run in CELLS.items() if not name.endswith("-3ep")},
+    "dan-1ep": (trained(lambda seed: moons("dan", seed, max_epochs=1)), (0,)),
+    "cdan-h1-mmd-1ep": (trained(lambda seed: moons("cdan", seed, max_epochs=1, h1="mmd")), (0,)),
     # the H2 forms the copula backward serves beyond the kl and chi2 cells
-    "cdan-h2-w2-10ep": (lambda seed: moons("cdan", seed, max_epochs=10, h2="w2"), SEEDS),
-    "cdan-h2-mmd-10ep": (lambda seed: moons("cdan", seed, max_epochs=10, h2="mmd"), SEEDS),
+    "cdan-h2-w2-10ep": (trained(lambda seed: moons("cdan", seed, max_epochs=10, h2="w2")), SEEDS),
+    "cdan-h2-mmd-10ep": (trained(lambda seed: moons("cdan", seed, max_epochs=10, h2="mmd")),
+                         SEEDS),
+    # the CSV boundary: numpy's reader, '#' lines skipped and the label split off
+    "shift-report-wine": (lambda seed: shift_report(wine_csvs, seed), SEEDS),
+    "shift-report-moons": (lambda seed: shift_report(moons_csvs, seed), SEEDS),
 }
 # a cell this short also keeps its trace and score floats, for a numpy build
 # with another key to compare within 1e-9; longer runs compound rounding
@@ -130,8 +183,8 @@ def golden_cell(params, trace, scores) -> dict:
 
 def golden() -> dict:
     return {"key": build_key(),
-            "cells": {f"{name}@{seed}": golden_cell(*run(seed))
-                      for name, (run, seeds) in GOLDEN_CELLS.items() for seed in seeds}}
+            "cells": {f"{name}@{seed}": record(seed)
+                      for name, (record, seeds) in GOLDEN_CELLS.items() for seed in seeds}}
 
 
 def main() -> None:

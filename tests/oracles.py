@@ -5,14 +5,14 @@ checker, the O(N^2) Kendall tau, the Monte-Carlo integrator for the closed
 forms (with Acklam's inverse normal CDF), the hand-derived gradient of the
 KL copula distance, the analytic Gaussian KLs, the graph composites the
 fused nodes replaced (copula distance with its tau node and closed forms,
-sorted W1 term, smoothed tau, dense layer, softmax cross-entropy, CORAL)
-with the ``div``, ``log``, ``sin``, ``absolute``, ``mean_rows``,
-``sort_cols``, ``neg``, ``transpose`` and ``softmax_rows`` ops only they
-build with, the per-array Adam step the flat one replaced, the row
-reductions and the CORAL centering that the column-at-a-time forms
-replaced, the ``np.triu_indices`` gather of the MMD median bandwidth, the
-tie loop of the Mann-Whitney AUC, and the per-line test the loader's
-content-line regex replaced.
+sorted W1 term, smoothed tau, dense layer, softmax cross-entropy, squared
+error, CORAL) with the ``sub``, ``mean``, ``div``, ``log``, ``sin``,
+``absolute``, ``mean_rows``, ``sort_cols``, ``neg``, ``transpose`` and
+``softmax_rows`` ops only they build with, the per-array Adam step the
+flat one replaced, the row reductions and the CORAL centering that the
+column-at-a-time forms replaced, the ``np.triu_indices`` gather of the MMD
+median bandwidth, the tie loop of the Mann-Whitney AUC, and the per-line
+test the loader's content-line regex replaced.
 """
 
 from typing import Callable, Sequence
@@ -26,6 +26,22 @@ from copulashift.errors import ContractViolation, DomainError, ShapeError
 
 
 # -- the autodiff ops that only the composites below build with ----------------
+
+def sub(a, b) -> ad.Node:
+    a, b = ad._pair("sub", a, b)
+    out = ad._seal(a.value - b.value)
+    return ad.Node(out, "sub", (a, b),
+                   lambda g: (ad._unbroadcast(g, a.shape), ad._unbroadcast(-g, b.shape)))
+
+
+def mean(a) -> ad.Node:
+    """Mean of all entries, as a (1, 1) node."""
+    a = ad.constant(a)
+    out = ad._seal(np.array([[a.value.mean()]]))
+    shape, size = a.shape, a.value.size
+    return ad.Node(out, "mean", (a,),
+                   lambda g: (np.full(shape, g[0, 0] / size),))
+
 
 def div(a, b) -> ad.Node:
     a, b = ad._pair("div", a, b)
@@ -136,13 +152,13 @@ def divergence_from_det(det: ad.Node, tag: str) -> ad.Node:
     if tag == "kl":
         return log(det) * -0.5
     if tag == "chi2":
-        return div(1.0, det) - 1.0
+        return sub(div(1.0, det), 1.0)
     if tag == "w2":
-        sq = 4.0 - 2.0 * ad.sqrt(2.0 + 2.0 * ad.sqrt(det))
+        sq = sub(4.0, 2.0 * ad.sqrt(2.0 + 2.0 * ad.sqrt(det)))
         return ad.sqrt(ad.clamp(sq, lo=0.0))
     # tag == "mmd"
-    sq = (div(1.0, ad.sqrt(9.0 + 16.0 * det)) + 0.2
-          - div(2.0, ad.sqrt(21.0 + 4.0 * det)))
+    sq = sub(div(1.0, ad.sqrt(9.0 + 16.0 * det)) + 0.2,
+             div(2.0, ad.sqrt(21.0 + 4.0 * det)))
     return ad.sqrt(ad.clamp(sq, lo=0.0))
 
 
@@ -156,10 +172,10 @@ def copula_distance_composite(fs: ad.Node, ft: ad.Node, beta: float,
     """
     def pair_divergences(f):
         rhos = copula_param_from_tau(taus(f, a))
-        det = 1.0 - rhos * rhos
+        det = sub(1.0, rhos * rhos)
         return divergence_from_det(det, kind.tag)
 
-    gap = absolute(pair_divergences(fs) - pair_divergences(ft))
+    gap = absolute(sub(pair_divergences(fs), pair_divergences(ft)))
     return ad.total(gap * float(beta))
 
 
@@ -169,7 +185,7 @@ def w1_columns_composite(fs: ad.Node, ft: ad.Node, kind=None) -> ad.Node:
     mean_rows, not total * (1/n): its backward divides by n, which keeps the
     gradient bit-identical to a per-column mean. ``kind`` is ``sort_cols``'s.
     """
-    return ad.total(mean_rows(absolute(sort_cols(fs, kind) - sort_cols(ft, kind))))
+    return ad.total(mean_rows(absolute(sub(sort_cols(fs, kind), sort_cols(ft, kind)))))
 
 
 def smooth_taus_composite(f: ad.Node, a: float) -> ad.Node:
@@ -183,7 +199,7 @@ def smooth_taus_composite(f: ad.Node, a: float) -> ad.Node:
     if n != f.shape[0]:
         f = ad.take_rows(f, np.arange(n))
     first, second = _pair_index(f.shape[1])
-    diff = ad.take_rows(f, np.arange(0, n, 2)) - ad.take_rows(f, np.arange(1, n, 2))
+    diff = sub(ad.take_rows(f, np.arange(0, n, 2)), ad.take_rows(f, np.arange(1, n, 2)))
     prod = ad.take_cols(diff, first) * ad.take_cols(diff, second)
     return mean_rows(ad.tanh(prod * a))
 
@@ -226,6 +242,12 @@ def cross_entropy_composite(logits: ad.Node, onehot: np.ndarray) -> ad.Node:
     return picked * (-1.0 / onehot.shape[0])
 
 
+def squared_error_composite(pred: ad.Node, targets: np.ndarray) -> ad.Node:
+    """The graph-composite form of ``models._squared_error_loss``: sub, mul and mean."""
+    resid = sub(pred, ad.constant(targets))
+    return mean(resid * resid)
+
+
 def coral_penalty_composite(fs: ad.Node, ft: ad.Node) -> ad.Node:
     """The graph-composite form of ``coral_penalty_graph``, centred by add_bias."""
     m = fs.shape[1]
@@ -235,7 +257,7 @@ def coral_penalty_composite(fs: ad.Node, ft: ad.Node) -> ad.Node:
         centered = ad.add_bias(f, neg(mean_rows(f)))
         return ad.matmul(transpose(centered), centered) * (1.0 / (n - 1))
 
-    diff = cov(fs) - cov(ft)
+    diff = sub(cov(fs), cov(ft))
     return ad.total(diff * diff) * (1.0 / (4.0 * m * m))
 
 
@@ -296,10 +318,10 @@ def coral_penalty_gathered(fs: ad.Node, ft: ad.Node) -> ad.Node:
 
     def cov(f):
         n = f.shape[0]
-        centered = f - ad.take_rows(mean_rows(f), [0] * n)
+        centered = sub(f, ad.take_rows(mean_rows(f), [0] * n))
         return ad.matmul(transpose(centered), centered) * (1.0 / (n - 1))
 
-    diff = cov(fs) - cov(ft)
+    diff = sub(cov(fs), cov(ft))
     return ad.total(diff * diff) * (1.0 / (4.0 * m * m))
 
 

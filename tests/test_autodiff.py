@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import copulashift.autodiff as ad
 from copulashift.errors import ContractViolation, DomainError, ShapeError
-from oracles import (absolute, add_bias_summed, div, finite_difference_check, log,
-                     mean_rows, neg, sin, softmax_rows, softmax_rows_reduced, sort_cols,
+from oracles import (absolute, add_bias_summed, div, finite_difference_check, log, mean,
+                     mean_rows, neg, sin, softmax_rows, softmax_rows_reduced, sort_cols, sub,
                      transpose)
 
 
@@ -122,7 +122,7 @@ class TestGradients:
 
     def test_mean_tanh_gradient(self):
         x = ad.leaf([0.0, 0.0])
-        ad.backward(ad.mean(ad.tanh(x)))
+        ad.backward(mean(ad.tanh(x)))
         # d/dx_i mean(tanh(x)) = (1 - tanh(x_i)^2) / n = 0.5 at 0
         np.testing.assert_allclose(x.grad, [[0.5], [0.5]])
 
@@ -155,7 +155,7 @@ class TestGradients:
         rng = np.random.default_rng(11)
         x = ad.leaf(rng.normal(size=(6, 2)))
         w = ad.leaf(rng.normal(size=(2, 3)))
-        out = ad.mean(ad.exp(neg(absolute(ad.matmul(x, w)))))
+        out = mean(ad.exp(neg(absolute(ad.matmul(x, w)))))
         ad.backward(out)
         g1x, g1w = x.grad.copy(), w.grad.copy()
         ad.backward(out)
@@ -257,23 +257,23 @@ class TestFiniteDifferenceSweep:
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         for trial in range(25):
             x = _shifted(rng, (3, 4), lo, hi, keep_away)
-            err = finite_difference_check(lambda a: ad.mean(fn(a)), [x])
+            err = finite_difference_check(lambda a: mean(fn(a)), [x])
             tol = _CASE_TOL.get(name, 1e-5)
             assert err < tol, f"{name} trial {trial}: {err}"
 
     @pytest.mark.parametrize("name,fn", [
-        ("add", ad.add), ("sub", ad.sub), ("mul", ad.mul), ("div", div),
+        ("add", ad.add), ("sub", sub), ("mul", ad.mul), ("div", div),
     ])
     def test_binary_elementwise(self, name, fn):
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(25):
             a = _shifted(rng, (3, 4))
             b = _shifted(rng, (3, 4), keep_away=0.2 if name == "div" else 0.0)
-            err = finite_difference_check(lambda x, y: ad.mean(fn(x, y)), [a, b])
+            err = finite_difference_check(lambda x, y: mean(fn(x, y)), [a, b])
             assert err < 1e-5
             # scalar broadcast on the right
             s = _shifted(rng, (1, 1), keep_away=0.2 if name == "div" else 0.0)
-            err = finite_difference_check(lambda x, y: ad.mean(fn(x, y)), [a, s])
+            err = finite_difference_check(lambda x, y: mean(fn(x, y)), [a, s])
             assert err < 1e-5
 
     def test_matmul_transpose_bias(self):
@@ -284,20 +284,20 @@ class TestFiniteDifferenceSweep:
             bias = rng.uniform(-2, 2, size=(1, 2))
 
             def build(x, y, z):
-                return ad.mean(ad.add_bias(ad.matmul(x, y), z))
+                return mean(ad.add_bias(ad.matmul(x, y), z))
 
             assert finite_difference_check(build, [a, b, bias]) < 1e-6
             assert finite_difference_check(
-                lambda x: ad.mean(transpose(x)), [a]) < 1e-6
+                lambda x: mean(transpose(x)), [a]) < 1e-6
 
     def test_reductions_and_gather(self):
         rng = np.random.default_rng(43)
         for _ in range(25):
             a = rng.uniform(-2, 2, size=(4, 3))
-            for red in (ad.total, ad.mean,
-                        lambda n: ad.mean(mean_rows(n)),
-                        lambda n: ad.mean(ad.take_rows(n, [0, 0, 2])),
-                        lambda n: ad.mean(ad.take_cols(n, [1, 1, 2]))):
+            for red in (ad.total, mean,
+                        lambda n: mean(mean_rows(n)),
+                        lambda n: mean(ad.take_rows(n, [0, 0, 2])),
+                        lambda n: mean(ad.take_cols(n, [1, 1, 2]))):
                 assert finite_difference_check(lambda x: _as_scalar(red(x)), [a]) < 1e-6
 
     def test_sort_cols_fd(self):
@@ -327,12 +327,12 @@ class TestFiniteDifferenceSweep:
             # keep samples strictly inside so FD is valid
             x = rng.uniform(-0.8, 0.8, size=(3, 3))
             err = finite_difference_check(
-                lambda a: ad.mean(ad.clamp(a, lo=-1.0, hi=1.0)), [x])
+                lambda a: mean(ad.clamp(a, lo=-1.0, hi=1.0)), [x])
             assert err < 1e-6
 
 
 def _as_scalar(node):
-    return node if node.shape == (1, 1) else ad.mean(node)
+    return node if node.shape == (1, 1) else mean(node)
 
 
 class TestErrorContracts:
@@ -376,9 +376,9 @@ class TestErrorContracts:
 
     def test_fd_check_rejects_bad_step(self):
         with pytest.raises(ContractViolation):
-            finite_difference_check(lambda x: ad.mean(x), [np.ones((2, 2))], step=0.0)
+            finite_difference_check(lambda x: mean(x), [np.ones((2, 2))], step=0.0)
         with pytest.raises(ContractViolation):
-            finite_difference_check(lambda x: ad.mean(x), [np.ones((2, 2))], step=-1e-6)
+            finite_difference_check(lambda x: mean(x), [np.ones((2, 2))], step=-1e-6)
 
     def test_item_requires_scalar(self):
         with pytest.raises(ContractViolation):

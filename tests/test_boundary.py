@@ -12,6 +12,7 @@ few MB or a few epochs.
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from copulashift import cli
 from copulashift.copula import H2_TAGS
+from copulashift.datasets import MAX_N_PER_CLASS
 from copulashift.divergences import H1_TAGS, MAX_BINS
 from copulashift.models import MAX_WIDTH
 from copulashift.training import METHODS
@@ -46,7 +48,7 @@ FIELDS = {
     "seed": ([0, 1, *HUGE], [-1]),
 }
 BINS = ([2, 3, MAX_BINS], [1, MAX_BINS + 1, *HUGE])
-BANDWIDTH = ([TINY, 1.0, 1e308], [0.0])
+BANDWIDTH = ([sys.float_info.min, 1.0, 1e308], [0.0, TINY])
 WIDTH = ([1, 2, MAX_WIDTH], [0, MAX_WIDTH + 1, *HUGE])
 N_CLASSES = ([2, MAX_WIDTH], [1, MAX_WIDTH + 1, *HUGE])
 
@@ -141,6 +143,32 @@ def test_huge_bins_exit_usage_with_one_error_line(workdir):
         assert code == cli.EXIT_USAGE
         assert err == ("error: DivergenceKind: bins must be an integer >= 2 and <= 1048576, "
                        "got 100000000000000000000\n")
+
+
+def test_subnormal_bandwidth_exits_usage_with_one_error_line(workdir):
+    # its kernel factor -1/b is -inf: shift-report named only "mul", and train said non-finite loss
+    (workdir / "bw.json").write_text('{"h1": {"kind": "mmd", "bandwidths": [5e-324]}}')
+    for argv in (["shift-report", workdir / "source.csv", workdir / "target.csv"],
+                 ["train", "--source", workdir / "source.csv",
+                  "--target", workdir / "target.csv", "--out", workdir / "subnormal"]):
+        code, out, err = _main(*argv, "--config", workdir / "bw.json")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == ("error: DivergenceKind: bandwidths[0] must be a finite number "
+                       ">= 2.2250738585072014e-308, got 5e-324\n")
+    assert not list(workdir.glob("subnormal*"))
+
+
+@pytest.mark.parametrize("n", [MAX_N_PER_CLASS + 1, 10 ** 12])
+def test_moons_gen_past_the_point_cap_exits_usage_before_generating(tmp_path, monkeypatch, n):
+    def refuse(cfg):
+        raise AssertionError(f"generate_moons called with {cfg}")
+
+    monkeypatch.setattr(cli, "generate_moons", refuse)
+    code, out, err = _main("moons-gen", "--n", n, "--out", tmp_path / "moons.csv")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == (f"error: MoonsConfig: n_per_class must be an integer >= 1 and "
+                   f"<= {MAX_N_PER_CLASS}, got {n}\n")
+    assert not (tmp_path / "moons.csv").exists()
 
 
 @pytest.mark.parametrize("csv_scale, flags", [(1e300, []), (1.0, ["--tanh-a", "1e308"])])

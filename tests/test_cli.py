@@ -538,6 +538,59 @@ class TestShiftReport:
         assert sorted(p.name for p in tmp_path.glob("rep*")) == ["rep.v2.csv", "rep.v2.json"]
 
 
+class TestCsvInput:
+    """The verbs read each CSV once and split the label column off when the header has it."""
+
+    def test_each_csv_is_opened_once_per_verb(self, tmp_path, monkeypatch, capsys):
+        src = make_moons_csv(tmp_path, "src.csv", stretch=1, seed=1)
+        labeled = make_moons_csv(tmp_path, "labeled.csv", stretch=2, seed=2)
+        unlabeled = tmp_path / "unlabeled.csv"
+        rows = load_delimited(labeled, label_column="label").features.tolist()
+        unlabeled.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        runs = [(["train", "--source", src, "--target", unlabeled, "--epochs", 1,
+                  "--out", tmp_path / "m"], [src, unlabeled]),
+                (["eval", "--checkpoint", tmp_path / "m.ckpt.json", "--data", labeled],
+                 [labeled]),
+                (["shift-report", labeled, unlabeled], [labeled, unlabeled])]
+        real_open = builtins.open
+        for argv, csvs in runs:
+            opened = []
+            with monkeypatch.context() as patch:
+                patch.setattr(builtins, "open", lambda file, *args, **kwargs:
+                              opened.append(str(file)) or real_open(file, *args, **kwargs))
+                assert run_cli(*argv) == cli.EXIT_OK
+            assert sorted(f for f in opened if f.endswith(".csv")) == sorted(map(str, csvs))
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("text, names, labels", [
+        ("x,y\n1,2\n3,4\n", ["x", "y"], None),
+        ("x,label\n1,2\n3,4\n", ["x"], np.array([2, 4], dtype=np.int64)),
+        ("x,label\n1,0.5\n3,4\n", ["x"], np.array([0.5, 4.0])),
+        ("x,label\n1,1e19\n3,4\n", ["x"], np.array([1e19, 4.0])),  # past int64
+        ("label,x,y\n1,2,3\n0,4,5\n", ["x", "y"], np.array([1, 0], dtype=np.int64)),
+    ], ids=["absent", "integral", "fractional", "past-int64", "first-column"])
+    def test_the_label_column_is_split_off_when_present(self, tmp_path, text, names, labels):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        ds = cli._load_maybe_labeled("eval", path, ",", "label")
+        assert ds.feature_names == names
+        if labels is None:
+            assert ds.labels is None and ds.label_name is None
+            return
+        assert ds.label_name == "label"
+        assert ds.labels.dtype == labels.dtype and ds.labels.tobytes() == labels.tobytes()
+        loaded = load_delimited(path, label_column="label")  # the same split
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert loaded.labels.tobytes() == ds.labels.tobytes()
+
+    def test_a_label_that_is_the_only_column_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "only.csv"
+        path.write_text("label\n1\n0\n")
+        assert run_cli("shift-report", path, path) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: Dataset: features must be N x d with d >= 1, got (2, 0)\n")
+
+
 def canned_table():
     rows = [{"label": "CDAN", "cells": {"2x": {"mean": 95.0, "std": 1.0}}}]
     return ex.ExperimentTable("method", ["2x"], rows, meta={"digits": 2},

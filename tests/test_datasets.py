@@ -12,7 +12,7 @@ from copulashift import datasets
 from copulashift.datasets import (Dataset, MinMaxStats, MoonsConfig,
                                   batch_iterator, generate_moons,
                                   load_delimited, minmax_normalize,
-                                  read_header, write_dataset)
+                                  read_table, write_dataset)
 from copulashift.errors import ContractViolation
 from oracles import is_content_line
 
@@ -260,7 +260,7 @@ class TestDelimitedBoundary:
         with pytest.raises(ContractViolation, match="delimiter"):
             load_delimited(path, delimiter=delimiter)
         with pytest.raises(ContractViolation, match="delimiter"):
-            read_header(path, delimiter=delimiter)
+            read_table(path, delimiter=delimiter)
 
     def test_non_utf8_file_named(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -274,7 +274,7 @@ class TestDelimitedBoundary:
         with pytest.raises(ContractViolation, match="huge.csv"):
             load_delimited(path)
 
-    # a comment fills the first 8 KB, so a lazy read meets the fault in a later chunk
+    # a comment fills the first 8 KB, which a lazy read would decode as its own chunk
     _LATE = "# " + "x" * 9000 + "\n"
 
     @pytest.mark.parametrize("content, message", [
@@ -282,30 +282,26 @@ class TestDelimitedBoundary:
          f"is not UTF-8 text: .* byte 0xe9 in position {len(_LATE) + 3}: "),
         ((_LATE + "a," + "b" * (csv.field_size_limit() + 1) + "\n1,2\n").encode(),
          r"late.csv: field larger than field limit"),
-    ], ids=["non-utf8-byte", "header-field-past-the-csv-limit"])
-    def test_read_header_and_loader_name_a_fault_alike(self, tmp_path, content, message):
+    ], ids=["non-utf8-byte", "field-past-the-csv-limit"])
+    def test_late_header_fault_is_named(self, tmp_path, content, message):
         path = tmp_path / "late.csv"
         path.write_bytes(content)
-        with pytest.raises(ContractViolation, match=message) as from_header:
-            read_header(path)
-        with pytest.raises(ContractViolation) as from_loader:
+        with pytest.raises(ContractViolation, match=message):
             load_delimited(path)
-        assert str(from_header.value) == str(from_loader.value)
 
-    def test_read_header_matches_loader(self, tmp_path):
+    def test_header_names_are_stripped(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text('# note\n\n "a" ;b;quality\n1;2;3\n')
-        assert read_header(path, ";") == ["a", "b", "quality"]
         assert load_delimited(path, ";").feature_names == ["a", "b", "quality"]
         empty = tmp_path / "empty.csv"
         empty.write_text("# only a note\n")
         with pytest.raises(ContractViolation, match="no header row"):
-            read_header(empty)
+            load_delimited(empty)
 
 
 def _takes_plain_path(path, delimiter) -> bool:
     """Whether load_delimited reads the file's body with the C reader."""
-    lines = datasets._content_lines(path)
+    lines = datasets._CONTENT_LINE.findall(path.read_text(encoding=datasets._ENCODING))
     rows = csv.reader(lines, delimiter=delimiter)
     width = len(next(rows))
     return datasets._plain_table(lines[rows.line_num:], delimiter, width) is not None
@@ -402,7 +398,8 @@ class TestContentLines:
             path.write_bytes("".join(pieces).encode("utf-8"))
             with open(path, "r", encoding=datasets._ENCODING) as fh:
                 want = [line for line in fh if is_content_line(line)]
-            assert datasets._content_lines(path) == want
+            text = path.read_text(encoding=datasets._ENCODING)
+            assert datasets._CONTENT_LINE.findall(text) == want
 
 
 class TestMinMaxNormalize:

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import copulashift.experiments as ex
 from copulashift.copula import DependenceKind, copula_distance, kendall_tau_smooth
-from copulashift.datasets import MoonsConfig
+from copulashift.datasets import MAX_N_PER_CLASS, MoonsConfig
 from copulashift.divergences import MAX_BINS, DivergenceKind, kl_histogram_1d
 from copulashift.errors import ContractViolation, check_int, check_real
 from copulashift.models import MAX_WIDTH, LayerSpec, init_params
@@ -28,7 +29,7 @@ def _spec(**fields):
 #  real or int, strict): every numeric field and argument of the package
 FIELDS = [
     ("MoonsConfig.n_per_class", lambda v: MoonsConfig(n_per_class=v), "n_per_class",
-     1, None, int, False),
+     1, MAX_N_PER_CLASS, int, False),
     ("MoonsConfig.stretch", lambda v: MoonsConfig(stretch=v), "stretch", 1.0, None, float, False),
     ("MoonsConfig.noise_sigma", lambda v: MoonsConfig(noise_sigma=v), "noise_sigma",
      0.0, None, float, False),
@@ -46,7 +47,7 @@ FIELDS = [
     ("DivergenceKind.bins", lambda v: DivergenceKind("kl", bins=v), "bins",
      2, MAX_BINS, int, False),
     ("DivergenceKind.bandwidths", lambda v: DivergenceKind("mmd", bandwidths=(1.0, v)),
-     r"bandwidths\[1\]", 0.0, None, float, True),
+     r"bandwidths\[1\]", sys.float_info.min, None, float, False),
     ("kl_histogram_1d.bins", lambda v: kl_histogram_1d([0.0, 1.0], [1.0, 2.0], bins=v),
      "bins", 2, MAX_BINS, int, False),
     ("init_params.input_dim", lambda v: init_params(_spec(), v, seed=0), "input_dim",
@@ -69,6 +70,7 @@ def _cases(accept: bool):
             good = [math.nextafter(low, math.inf) if strict else low, low + 0.5]
             bad = [True, low if strict else math.nextafter(low, -math.inf), 10 ** 400,
                    math.inf, -math.inf, math.nan, "1", None]
+            bad += [0.0, math.nextafter(0.0, 1.0)] if low > 0 else []  # zero, the least subnormal
         for value in good if accept else bad:
             shown = {10 ** 400: "10**400", -10 ** 400: "-10**400"}.get(value, repr(value))
             yield pytest.param(call, name, value, id=f"{where}-{shown}")

@@ -1,6 +1,7 @@
 """The fused training nodes against the graph composites they replaced.
 
-``autodiff.dense``, ``models._softmax_cross_entropy``, ``coral_penalty_graph``,
+``autodiff.dense``, ``models._softmax_cross_entropy``, ``models._squared_error_loss``,
+``coral_penalty_graph``,
 ``copula_distance_graph``, ``w1_columns_graph`` and the flat ``training.Adam``
 must give the same bits as their composites in ``oracles`` (value and every
 parent's gradient), pass the finite-difference check, and leave whole
@@ -20,7 +21,7 @@ from copulashift.errors import ContractViolation, ShapeError
 from copulashift.experiments import moons_config, moons_pair
 from oracles import (AdamPerArray, copula_distance_composite, coral_penalty_composite,
                      cross_entropy_composite, dense_composite, finite_difference_check,
-                     w1_columns_composite)
+                     squared_error_composite, w1_columns_composite)
 
 
 def _same_bits(a, b):
@@ -126,6 +127,36 @@ class TestSoftmaxCrossEntropy:
         for _ in range(5):
             err = finite_difference_check(
                 lambda z: models._softmax_cross_entropy(z, onehot), [rng.normal(size=shape)])
+            assert err < 1e-5
+
+
+class TestSquaredError:
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 90, 1000])
+    def test_matches_composite(self, n):
+        rng = np.random.default_rng(n)
+        targets = rng.normal(size=(n, 1))
+        pred = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
+        pred[rng.random((n, 1)) < 0.2] = -0.0
+        _assert_matches(models._squared_error_loss, squared_error_composite, [pred], targets)
+        _assert_matches(models._squared_error_loss, squared_error_composite,
+                        [targets.copy()], targets)  # a zero residual, where the gradient is 0
+        # an upstream weight where g * (1/n) != g / n for some n: the mean's order counts
+        _assert_matches(lambda p, t: models._squared_error_loss(p, t) * 0.02,
+                        lambda p, t: squared_error_composite(p, t) * 0.02, [pred], targets)
+
+    def test_value_is_the_plain_squared_error(self):
+        pred, targets = np.array([[3.0], [3.0], [0.5]]), np.array([[2.0], [4.0], [0.5]])
+        loss = models._squared_error_loss(ad.leaf(pred), targets)
+        _same_bits(loss.value, models.squared_error(pred, targets))
+        assert loss.item() == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_finite_differences(self, n):
+        rng = np.random.default_rng(n)
+        targets = rng.normal(size=(n, 1))
+        for _ in range(5):
+            err = finite_difference_check(
+                lambda p: models._squared_error_loss(p, targets), [rng.normal(size=(n, 1))])
             assert err < 1e-5
 
 
@@ -327,6 +358,7 @@ class TestFlatAdam:
 def _patched(monkeypatch):
     monkeypatch.setattr(ad, "dense", dense_composite)
     monkeypatch.setattr(models, "_softmax_cross_entropy", cross_entropy_composite)
+    monkeypatch.setattr(models, "_squared_error_loss", squared_error_composite)
     monkeypatch.setattr(dv, "coral_penalty_graph", coral_penalty_composite)
     monkeypatch.setattr(training, "Adam", AdamPerArray)
     monkeypatch.setattr(cop, "copula_distance_graph", copula_distance_composite)
